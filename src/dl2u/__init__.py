@@ -18,7 +18,7 @@ from .sequences import (
     rho_n,
     scales,
 )
-from .dgp import RngSeed, SimulatedPath, simulate_batch, simulate_path, simulate_volatility
+from .dgp import RngSeed, SimulatedPath, simulate_batch, simulate_path
 from .ks import KsResult, TargetLaw, ks_pvalue, ks_statistic, ks_test
 from .estimator import (
     OlsResult,

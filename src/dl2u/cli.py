@@ -9,11 +9,10 @@ Exit codes: 0 ok, 2 usage, 3 domain error, 4 numeric overflow,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -32,18 +31,14 @@ EXIT_VERIFY = 5
 _FLOAT_FMT = "%.17g"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DL2U_SEED", "0"))
-
-
-def _add_model_args(p: argparse.ArgumentParser, explosive_default="stat"):
+def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--kn", default="pow:0.25", help="const:V | log | pow:A | lin")
     p.add_argument("--rn", default="log", help="const:V | log | pow:A | lin")
-    p.add_argument("--regime", choices=["stat", "expl"], default=explosive_default)
+    p.add_argument("--regime", choices=["stat", "expl"], default="stat")
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--z0", type=float, default=0.0)
 
@@ -76,6 +71,16 @@ def _params_meta(params: ModelParams) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Yield `path` opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
+
+
 def _write_path_csv(path: SimulatedPath, out):
     out.write("t,y,sigma2,u\n")
     for t in range(len(path.y)):
@@ -92,19 +97,20 @@ def cmd_simulate(args) -> int:
         "params": _params_meta(params),
         "seed": {"base": seed.base, "stream": seed.stream},
     }
+    with _output(args.out) as out:
+        _write_path_csv(path, out)
     if args.out:
-        with open(args.out, "w") as fh:
-            _write_path_csv(path, fh)
         with open(args.out + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
-    else:
-        _write_path_csv(path, sys.stdout)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     params = _params_from(args)
-    data = np.genfromtxt(args.path, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args.path, delimiter=",", names=True)
+    except OSError as exc:
+        raise DomainError(f"cannot read {args.path}: {exc}") from exc
     y = np.atleast_1d(data["y"])
     u = np.atleast_1d(data["u"])[1:]  # u column is empty at t=0
     ols = ols_rho(y)
@@ -132,16 +138,11 @@ def cmd_table(args) -> int:
         replications=args.reps,
         paths_per_test=args.paths,
         seed=args.seed,
-        threads=args.threads,
     )
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         out.write("kn,mean_ks,acceptance\n")
         for row in rows:
             out.write(f"{row.kn_label},{_FLOAT_FMT % row.mean_ks},{_FLOAT_FMT % row.acceptance}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -164,15 +165,13 @@ def cmd_hist(args) -> int:
     record = montecarlo.emit_histogram(spec, bins=args.bins)
     record["params"] = _params_meta(params)
     record["seed"] = args.seed
-    json.dump(record, sys.stdout if not args.out else open(args.out, "w"), indent=2)
-    if not args.out:
-        sys.stdout.write("\n")
+    with _output(args.out) as out:
+        json.dump(record, out, indent=2)
+        out.write("\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.draws < oracles.MIN_DRAWS:
-        raise DomainError(f"--draws must be at least {oracles.MIN_DRAWS}")
     checks = oracles.run_moment_suite(draws=args.draws, seed=args.seed)
     reports = [c.as_dict() for c in checks]
 
@@ -204,10 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
         "nearly nonstationary stochastic volatility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A string default goes through type=int only for the subcommand parsed,
+    # so a malformed DL2U_SEED is a usage error there and nowhere else.
+    seed_default = os.environ.get("DL2U_SEED", "0")
+    seed_help = "base seed (default: $DL2U_SEED, else 0)"
 
     p = sub.add_parser("simulate", help="simulate one path to CSV")
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -223,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=500)
     p.add_argument("--n-nearstat", type=int, default=1000)
     p.add_argument("--n-explosive", type=int, default=300)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kn", default=None)
     p.add_argument("--paths", type=int, default=500)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hist)
 

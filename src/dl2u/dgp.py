@@ -2,7 +2,7 @@
 
 Each replication draws from counter-based Philox streams keyed by
 (base, stream, series), so any path can be regenerated in isolation and
-parallel runs reproduce serial ones bit for bit.  Series 0 carries the
+batched runs reproduce single-path ones bit for bit.  Series 0 carries the
 mean innovations and series 1 the log-volatility shocks; the two are
 independent by construction.
 """
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import DomainError, NumericOverflowError
 from .sequences import ModelParams, phi_n, rho_n
 
-__all__ = ["RngSeed", "SimulatedPath", "simulate_volatility", "simulate_path", "simulate_batch"]
+__all__ = ["RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch"]
 
 _EPS_SERIES = 0
 _ETA_SERIES = 1
@@ -31,9 +31,9 @@ class RngSeed:
 
     def __post_init__(self):
         if not 0 <= self.base < 2**64:
-            raise ValueError("base must be a 64-bit unsigned integer")
+            raise DomainError("base must be a 64-bit unsigned integer")
         if not 0 <= self.stream < 2**64:
-            raise ValueError("stream must be a 64-bit unsigned integer")
+            raise DomainError("stream must be a 64-bit unsigned integer")
 
 
 def _generator(seed: RngSeed, series: int) -> np.random.Generator:
@@ -115,8 +115,3 @@ def simulate_path(params: ModelParams, seed: RngSeed) -> SimulatedPath:
     """Simulate one trajectory of the mean/volatility recursion pair."""
     y, sigma2, u = simulate_batch(params, seed.base, [seed.stream])
     return SimulatedPath(y=y[0], sigma2=sigma2[0], u=u[0])
-
-
-def simulate_volatility(params: ModelParams, seed: RngSeed) -> np.ndarray:
-    """Return sigma_t^2 for t = 0..n from the log-AR(1) volatility recursion."""
-    return simulate_path(params, seed).sigma2

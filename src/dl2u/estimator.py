@@ -3,6 +3,9 @@
 The near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) targets N(0, 2c);
 the explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) targets the
 standard Cauchy.  Explosive powers are always combined in log-space.
+`montecarlo.replication_pivots` shares the normalizations and overflow
+check but not the arithmetic: einsum and np.exp round differently from BLAS
+dot products and math.exp, and the bits of both sides are pinned.
 
 For strongly explosive roots the centered error rho_hat - rho_n is of
 order rho_n^{-n}, far below the rounding error of rho_hat itself, so the
@@ -28,6 +31,9 @@ __all__ = [
     "PivotValue",
     "ols_rho",
     "score_rho_error",
+    "stationary_scale",
+    "log_explosive_scale",
+    "check_explosive_overflow",
     "pivot_T",
     "pivot_S",
     "sign_flip",
@@ -70,11 +76,7 @@ def score_rho_error(path: SimulatedPath) -> float:
     catastrophic cancellation of (numerator/denominator - rho_n) when
     rho_n^n dwarfs 1/eps.
     """
-    lag = path.y[:-1]
-    den = float(lag @ lag)
-    if den < _DEGENERATE_DENOM:
-        raise DegeneratePathError("degenerate path: sum of squared lags is zero")
-    return float(lag @ path.u) / den
+    return float(path.y[:-1] @ path.u) / ols_rho(path.y).denominator
 
 
 @dataclass(frozen=True)
@@ -86,35 +88,51 @@ class PivotValue:
     target: TargetLaw
 
 
+def stationary_scale(params: ModelParams) -> float:
+    """sqrt(n k_n), the near-stationary pivot's normalization."""
+    if params.regime is not Regime.NEAR_STATIONARY:
+        raise DomainError("the near-stationary pivot requires the near-stationary regime")
+    return math.sqrt(params.n * eval_sequence(params.kn, params.n))
+
+
+def log_explosive_scale(params: ModelParams) -> tuple[float, float]:
+    """(log(rho_n^n k_n / (2c)), n log rho_n) of the explosive regime."""
+    if params.regime is not Regime.MILDLY_EXPLOSIVE:
+        raise DomainError("the explosive pivot requires the mildly explosive regime")
+    if params.c <= 0:
+        raise DomainError("the explosive pivot needs c > 0")
+    n_log_rho = params.n * math.log(rho_n(params))
+    kn = eval_sequence(params.kn, params.n)
+    return n_log_rho + math.log(kn) - math.log(2.0 * params.c), n_log_rho
+
+
+def check_explosive_overflow(log_mag, n_log_rho: float, what: str) -> None:
+    """Raise NumericOverflowError if any log-magnitude exceeds log(DBL_MAX)."""
+    if np.any(log_mag > _LOG_DBL_MAX):
+        raise NumericOverflowError(f"{what} overflow: n log rho_n = {n_log_rho:g}")
+
+
+def _rescale(value: float, log_factor: float, n_log_rho: float, what: str) -> float:
+    """value * exp(log_factor), formed in log-space with scalar libm calls."""
+    if value == 0.0:
+        return 0.0
+    log_mag = math.log(abs(value)) + log_factor
+    check_explosive_overflow(log_mag, n_log_rho, what)
+    return math.copysign(math.exp(log_mag), value)
+
+
 def pivot_T(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
     """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c)."""
-    if params.regime is not Regime.NEAR_STATIONARY:
-        raise DomainError("pivot_T requires the near-stationary regime")
-    kn = eval_sequence(params.kn, params.n)
+    scale = stationary_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    value = math.sqrt(params.n * kn) * diff
-    return PivotValue(kind="T", value=value, target=TargetLaw.normal(2.0 * params.c))
+    return PivotValue(kind="T", value=scale * diff, target=TargetLaw.normal(2.0 * params.c))
 
 
 def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
     """Explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) -> Cauchy(0,1)."""
-    if params.regime is not Regime.MILDLY_EXPLOSIVE:
-        raise DomainError("pivot_S requires the mildly explosive regime")
-    if params.c <= 0:
-        raise DomainError("pivot_S needs c > 0")
-    kn = eval_sequence(params.kn, params.n)
-    rho = rho_n(params)
+    log_scale, n_log_rho = log_explosive_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    log_scale = params.n * math.log(rho) + math.log(kn) - math.log(2.0 * params.c)
-    if diff == 0.0:
-        value = 0.0
-    else:
-        log_mag = log_scale + math.log(abs(diff))
-        if log_mag > _LOG_DBL_MAX:
-            raise NumericOverflowError(
-                f"explosive pivot overflow: n log rho_n = {params.n * math.log(rho):g}"
-            )
-        value = math.copysign(math.exp(log_mag), diff)
+    value = _rescale(diff, log_scale, n_log_rho, "explosive pivot")
     return PivotValue(kind="S", value=value, target=TargetLaw.standard_cauchy())
 
 
@@ -125,17 +143,15 @@ def sign_flip(y):
     return y * signs
 
 
-def normalized_sum_squares(
-    path: SimulatedPath, params: ModelParams, vol: VolatilityScales
-) -> float:
-    """sum_{t=1}^n y_t^2 / (n k_n m_n), with m_n applied in log-space."""
+def normalized_sum_squares(y, params: ModelParams, vol: VolatilityScales):
+    """sum_{t=1}^n y_t^2 / (n k_n m_n) along the last axis of y = (y_0..y_n), in log-space."""
     if params.regime is not Regime.NEAR_STATIONARY:
         raise DomainError("normalized_sum_squares requires the near-stationary regime")
     kn = eval_sequence(params.kn, params.n)
-    ss = float(path.y[1:] @ path.y[1:])
-    if ss == 0.0:
-        return 0.0
-    return math.exp(math.log(ss) - math.log(params.n) - math.log(kn) - vol.log_m_n)
+    tail = np.asarray(y)[..., 1:]
+    ss = np.einsum("...i,...i->...", tail, tail)
+    with np.errstate(divide="ignore"):  # an all-zero path maps to 0
+        return np.exp(np.log(ss) - math.log(params.n) - math.log(kn) - vol.log_m_n)
 
 
 def explosive_pair(
@@ -149,26 +165,12 @@ def explosive_pair(
     The squared sum runs over the lagged series so that the ratio of the
     two coordinates reproduces the explosive pivot identity exactly.
     """
-    if params.regime is not Regime.MILDLY_EXPLOSIVE:
-        raise DomainError("explosive_pair requires the mildly explosive regime")
-    kn = eval_sequence(params.kn, params.n)
-    rho = rho_n(params)
-    n_log_rho = params.n * math.log(rho)
-
+    _, n_log_rho = log_explosive_scale(params)
+    log_kn = math.log(eval_sequence(params.kn, params.n))
     lag = path.y[:-1]
     score = float(lag @ path.u)
     ssq = float(lag @ lag)
-
-    def _rescale(value: float, log_factor: float) -> float:
-        if value == 0.0:
-            return 0.0
-        log_mag = math.log(abs(value)) + log_factor
-        if log_mag > _LOG_DBL_MAX:
-            raise NumericOverflowError(
-                f"explosive pair overflow: n log rho_n = {n_log_rho:g}"
-            )
-        return math.copysign(math.exp(log_mag), value)
-
-    first = _rescale(score, -n_log_rho - vol.log_l_n - math.log(kn))
-    second = _rescale(ssq, -2.0 * n_log_rho - vol.log_l_n - 2.0 * math.log(kn))
+    first = _rescale(score, -n_log_rho - vol.log_l_n - log_kn, n_log_rho, "explosive pair")
+    second = _rescale(ssq, -2.0 * n_log_rho - vol.log_l_n - 2.0 * log_kn, n_log_rho,
+                      "explosive pair")
     return first, second

@@ -3,22 +3,21 @@
 One replication simulates B paths, forms the B normalized pivot values for
 the configured regime and KS-tests them against the matching limit law.
 An experiment repeats that R times with disjoint seed streams; path j of
-replication `rep` always uses stream rep*B + j, so results are identical
-under any scheduling.
+replication `rep` always uses stream rep*B + j, so any replication, or any
+single path, can be regenerated alone.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dgp
 from .errors import DomainError, NumericOverflowError
+from .estimator import check_explosive_overflow, log_explosive_scale, stationary_scale
 from .ks import KsResult, TargetLaw, density, ks_test
-from .sequences import ModelParams, Regime, SequenceSpec, eval_sequence, rho_n
+from .sequences import ModelParams, Regime, SequenceSpec
 
 __all__ = [
     "ExperimentSpec",
@@ -32,8 +31,6 @@ __all__ = [
     "run_table",
     "emit_histogram",
 ]
-
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -87,18 +84,12 @@ def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     score = np.einsum("ij,ij->i", lag, u)
     diff = score / den
 
-    kn = eval_sequence(params.kn, params.n)
     if params.regime is Regime.NEAR_STATIONARY:
-        return math.sqrt(params.n * kn) * diff
-    rho = rho_n(params)
-    log_scale = params.n * math.log(rho) + math.log(kn) - math.log(2.0 * params.c)
+        return stationary_scale(params) * diff
+    log_scale, n_log_rho = log_explosive_scale(params)
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(diff)) + log_scale
-    if np.any(log_mag > _LOG_DBL_MAX):
-        raise NumericOverflowError(
-            f"replication {rep}: explosive pivot overflow, "
-            f"n log rho_n = {params.n * math.log(rho):g}"
-        )
+    check_explosive_overflow(log_mag, n_log_rho, f"replication {rep}: explosive pivot")
     return np.sign(diff) * np.exp(log_mag)
 
 
@@ -107,13 +98,9 @@ def run_replication(spec: ExperimentSpec, rep: int) -> KsResult:
     return ks_test(replication_pivots(spec, rep), target_law(spec.params))
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentSummary:
-    """Run all replications; the summary is independent of thread count."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: run_replication(spec, r), range(spec.replications)))
-    else:
-        results = [run_replication(spec, rep) for rep in range(spec.replications)]
+def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
+    """Run all replications in order and summarize their KS tests."""
+    results = [run_replication(spec, rep) for rep in range(spec.replications)]
     mean_ks = float(np.mean([r.d_stat for r in results]))
     accepted = sum(1 for r in results if r.p_value > spec.alpha_level)
     return ExperimentSummary(
@@ -185,7 +172,6 @@ def run_table(
     replications: int = 100,
     paths_per_test: int = 500,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[TableRow]:
     """Reproduce one table: a KS summary per mean-persistence row."""
     rows = []
@@ -197,7 +183,7 @@ def run_table(
             replications=replications,
             seed=_row_seed(seed, i),
         )
-        summary = run_experiment(spec, threads=threads)
+        summary = run_experiment(spec)
         rows.append(TableRow(label, summary.mean_ks, summary.acceptance_proportion))
     return rows
 

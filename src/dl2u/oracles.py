@@ -17,7 +17,7 @@ import numpy as np
 from . import dgp
 from .errors import DomainError
 from .estimator import normalized_sum_squares
-from .sequences import ModelParams, Regime, eval_sequence, phi_n, rho_n, scales
+from .sequences import ModelParams, Regime, dispersion, eval_sequence, rho_n, scales
 
 __all__ = [
     "MomentCheck",
@@ -53,26 +53,28 @@ class MomentCheck:
         return out
 
 
-def _dispersion(phi: float, t: int) -> float:
-    """A_t = (1 - phi^(2t)) / (2 (1 - phi^2))."""
-    return -math.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi * phi))
-
-
 def _check(label, mc, closed, se) -> MomentCheck:
     z = 0.0 if se == 0.0 and mc == closed else (mc - closed) / se
     return MomentCheck(label, float(mc), float(closed), float(se), float(z))
 
 
-def _simulate_z(phi: float, alpha: float, t: int, draws: int, seed: int) -> np.ndarray:
-    """Antithetic draws of z_t = sum_j phi^j eta_{t-j}, z_0 = 0."""
+def _generator(draws: int, seed: int) -> np.random.Generator:
     if draws < MIN_DRAWS:
         raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], draws: int, seed: int) -> list[np.ndarray]:
+    """Antithetic draws of z_t = sum_j phi^j eta_{t-j}, z_0 = 0, for each t in steps."""
+    rng = _generator(draws, seed)
     half = draws // 2
-    rng = np.random.Generator(np.random.Philox(key=seed))
     z = np.zeros(half)
-    for _ in range(t):
+    at = {0: z}
+    for t in range(1, max(steps) + 1):
         z = phi * z + alpha * rng.standard_normal(half)
-    return np.concatenate([z, -z])  # eta -> -eta flips z's sign
+        if t in steps:
+            at[t] = z
+    return [np.concatenate([at[t], -at[t]]) for t in steps]  # eta -> -eta flips z's sign
 
 
 def _mc_mean(values: np.ndarray) -> tuple[float, float]:
@@ -85,17 +87,17 @@ def _mc_mean(values: np.ndarray) -> tuple[float, float]:
 
 def check_mean_sigma2(alpha, phi, t, draws=MIN_DRAWS, seed=101) -> MomentCheck:
     """E[sigma_t^2] = exp(alpha^2 A_t)."""
-    z = _simulate_z(phi, alpha, t, draws, seed)
+    (z,) = _simulate_z(phi, alpha, (t,), draws, seed)
     mc, se = _mc_mean(np.exp(z))
-    closed = math.exp(alpha**2 * _dispersion(phi, t))
+    closed = math.exp(alpha**2 * dispersion(phi, t))
     return _check(f"mean_sigma2(alpha={alpha},phi={phi},t={t})", mc, closed, se)
 
 
 def check_fourth_moment(alpha, phi, t, draws=MIN_DRAWS, seed=202) -> MomentCheck:
     """E[sigma_t^4] = exp(2 Var z_t) = exp(4 alpha^2 A_t)."""
-    z = _simulate_z(phi, alpha, t, draws, seed)
+    (z,) = _simulate_z(phi, alpha, (t,), draws, seed)
     mc, se = _mc_mean(np.exp(2.0 * z))
-    closed = math.exp(4.0 * alpha**2 * _dispersion(phi, t))
+    closed = math.exp(4.0 * alpha**2 * dispersion(phi, t))
     return _check(f"fourth_moment(alpha={alpha},phi={phi},t={t})", mc, closed, se)
 
 
@@ -103,34 +105,21 @@ def check_cross_moment(alpha, phi, s, t, draws=MIN_DRAWS, seed=303) -> MomentChe
     """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s)."""
     if s > t:
         raise DomainError("cross moment needs s <= t")
-    if draws < MIN_DRAWS:
-        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
-    half = draws // 2
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = np.zeros(half)
-    for step in range(1, t + 1):
-        z = phi * z + alpha * rng.standard_normal(half)
-        if step == s:
-            z_s = z.copy()
-    vals = np.exp(z_s + z)
-    vals_anti = np.exp(-z_s - z)
-    mc, se = _mc_mean(np.concatenate([vals, vals_anti]))
+    z_s, z_t = _simulate_z(phi, alpha, (s, t), draws, seed)
+    mc, se = _mc_mean(np.exp(z_s + z_t))
     a2 = alpha**2
     closed = math.exp(
-        a2 * _dispersion(phi, s)
-        + a2 * _dispersion(phi, t)
-        + 2.0 * a2 * phi ** (t - s) * _dispersion(phi, s)
+        a2 * dispersion(phi, s)
+        + a2 * dispersion(phi, t)
+        + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
     )
     return _check(f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})", mc, closed, se)
 
 
 def check_conditional_mean(alpha, phi, draws=MIN_DRAWS, seed=404) -> MomentCheck:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
-    if draws < MIN_DRAWS:
-        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
-    half = draws // 2
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    eta = alpha * rng.standard_normal(half)
+    rng = _generator(draws, seed)
+    eta = alpha * rng.standard_normal(draws // 2)
     shock = np.concatenate([np.exp(eta), np.exp(-eta)])
     worst = None
     for z_prev in np.linspace(-2.0, 2.0, 5):
@@ -151,15 +140,13 @@ def check_eq6_convergence(params_grid, paths: int = 200, seed: int = 505) -> dic
     """
     if len(params_grid) < 2:
         raise DomainError("need at least two grid points")
+    if any(params.regime is not Regime.NEAR_STATIONARY for params in params_grid):
+        raise DomainError("eq6 convergence check is near-stationary only")
     entries = []
     for params in params_grid:
-        if params.regime is not Regime.NEAR_STATIONARY:
-            raise DomainError("eq6 convergence check is near-stationary only")
         vol = scales(params)
-        y, _, u = dgp.simulate_batch(params, seed, np.arange(paths, dtype=np.uint64))
-        ss = np.einsum("ij,ij->i", y[:, 1:], y[:, 1:])
-        kn = eval_sequence(params.kn, params.n)
-        stats = np.exp(np.log(ss) - math.log(params.n) - math.log(kn) - vol.log_m_n)
+        y, _, _ = dgp.simulate_batch(params, seed, np.arange(paths, dtype=np.uint64))
+        stats = normalized_sum_squares(y, params, vol)
         target = 1.0 / (2.0 * params.c)
         entries.append({"n": params.n, "mean": float(stats.mean()),
                         "abs_error": float(abs(stats.mean() - target)), "target": target})

@@ -3,10 +3,10 @@
 The model's persistence parameters are driven by rate sequences evaluated
 at the sample length n: the mean root is 1 -/+ c/k_n and the log-volatility
 persistence is 1 - d/log(r_n).  This module evaluates those sequences and
-the closed-form moments of the lognormal volatility process (dispersion
-factor A_t, unconditional variance x_t, sample average m_n, long-run scale
-l_n), all with parallel log-space representations so that large-alpha /
-near-unit-phi regimes never overflow.
+the closed-form scales of the lognormal volatility process: the dispersion
+factor A_t, and the sample-average variance m_n and long-run scale l_n,
+which are kept in log-space so that large-alpha / near-unit-phi regimes
+never overflow.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "Regime",
     "ModelParams",
     "VolatilityScales",
+    "dispersion",
     "eval_sequence",
     "rho_n",
     "phi_n",
@@ -184,80 +185,35 @@ def phi_n(params: ModelParams) -> float:
     return 1.0 - params.d / log_rn
 
 
+def dispersion(phi: float, t: int) -> float:
+    """A_t = (1 - phi^(2t)) / (2 (1 - phi^2)), so that Var z_t = 2 alpha^2 A_t; A_1 = 1/2."""
+    return -math.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi * phi))
+
+
 @dataclass(frozen=True)
 class VolatilityScales:
-    """Closed-form scale quantities of the lognormal volatility process.
+    """Log-space scales of the lognormal volatility process.
 
-    All exponential-scale members carry a log-space twin; m_n and l_n may
-    be inf in direct space while log_m_n / log_l_n stay finite.
+    m_n = n^-1 sum_t exp(alpha^2 A_t) and l_n = exp(alpha^2 / (2 (1 - phi^2)))
+    overflow in direct space long before their logarithms do.
     """
 
-    phi: float
-    alpha: float
-    n: int
     log_m_n: float
     log_l_n: float
-    M_n: int
-    delta_n: float
-    Z_n: float
-
-    def A(self, t):
-        """Dispersion factor (1 - phi^(2t)) / (2 (1 - phi^2)); A(1) = 1/2."""
-        t = np.asarray(t)
-        phi2 = self.phi * self.phi
-        return -np.expm1(2.0 * t * math.log(self.phi)) / (2.0 * (1.0 - phi2))
-
-    def log_x(self, t):
-        """log E[sigma_t^2] = alpha^2 A_t."""
-        return self.alpha**2 * self.A(t)
-
-    def x(self, t):
-        """Unconditional innovation variance E[sigma_t^2] = exp(alpha^2 A_t)."""
-        return np.exp(self.log_x(t))
-
-    @property
-    def m_n(self) -> float:
-        """Sample-average unconditional variance (may overflow; see log_m_n)."""
-        return math.exp(self.log_m_n) if self.log_m_n < 709.0 else math.inf
-
-    @property
-    def l_n(self) -> float:
-        """Long-run scale exp(alpha^2 / (2 (1 - phi^2)))."""
-        return math.exp(self.log_l_n) if self.log_l_n < 709.0 else math.inf
-
-    @property
-    def A_inf(self) -> float:
-        return 1.0 / (2.0 * (1.0 - self.phi * self.phi))
 
 
 def scales(params: ModelParams) -> VolatilityScales:
-    """Compute A_t, x_t, m_n, l_n and the dependence cutoff diagnostics."""
+    """Compute log m_n and log l_n."""
     phi = phi_n(params)
     alpha = params.alpha
     n = params.n
-    svc = VolatilityScales
     phi2 = phi * phi
 
     t = np.arange(1, n + 1, dtype=float)
+    # Vectorized A_t.  `dispersion` cannot share it: np.expm1 differs from
+    # math.expm1 by 1 ulp at (phi=0.9, t=2), a value that the cross-moment
+    # closed form of `dl2u verify` pins.
     A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi2))
     log_m = float(logsumexp(alpha**2 * A_t) - math.log(n)) if n >= 1 else 0.0
     log_l = alpha**2 / (2.0 * (1.0 - phi2))
-
-    rn = eval_sequence(params.rn, params.n)
-    log_rn = math.log(rn)
-    loglog_rn = math.log(log_rn) if log_rn > 0 else -math.inf
-    delta = 1.0 if loglog_rn <= 1.0 else 1.0 / loglog_rn
-    ratio = log_rn / delta
-    M = int(math.floor(log_rn / (2.0 * params.d) * math.log(ratio))) if ratio > 1.0 else 0
-    M = max(M, 0)
-
-    return svc(
-        phi=phi,
-        alpha=alpha,
-        n=n,
-        log_m_n=log_m,
-        log_l_n=log_l,
-        M_n=M,
-        delta_n=delta,
-        Z_n=phi2,
-    )
+    return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -17,11 +17,9 @@ from scipy.special import ndtri
 from dl2u.dgp import RngSeed, simulate_path
 from dl2u.estimator import explosive_pair, ols_rho, pivot_S, score_rho_error, sign_flip
 from dl2u.ks import TargetLaw, cdf, ks_statistic, ks_test
-from dl2u.montecarlo import ExperimentSpec, run_experiment, run_replication, run_table
+from dl2u.montecarlo import ExperimentSpec, run_replication, run_table
 from dl2u.oracles import check_eq6_convergence, check_wnvn, run_moment_suite
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, scales
-
-THREADS = 4
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -39,7 +37,7 @@ TABLE_1A_REFERENCE_KS = [0.0515, 0.0528, 0.0498, 0.0503]  # first four rows
 
 
 def test_criterion_1_table_1a_near_stationary_homoskedastic():
-    rows = run_table("1a", replications=100, paths_per_test=500, seed=0, threads=THREADS)
+    rows = run_table("1a", replications=100, paths_per_test=500, seed=0)
     slow, fastest = rows[:4], rows[-1]
     ok_acc = all(r.acceptance >= 0.85 for r in slow)
     ok_ks = all(
@@ -52,7 +50,7 @@ def test_criterion_1_table_1a_near_stationary_homoskedastic():
 
 
 def test_criterion_2_table_1b_explosive_homoskedastic():
-    rows = run_table("1b", replications=100, paths_per_test=500, seed=0, threads=THREADS)
+    rows = run_table("1b", replications=100, paths_per_test=500, seed=0)
     slow, fastest = rows[:4], rows[-1]
     ok = all(r.acceptance >= 0.85 for r in slow) and fastest.acceptance <= 0.15
     detail = _table_lines(rows)
@@ -60,7 +58,7 @@ def test_criterion_2_table_1b_explosive_homoskedastic():
 
 
 def test_criterion_3_table_2b_near_stationary_sv():
-    rows = run_table("2b", replications=100, paths_per_test=500, seed=0, threads=THREADS)
+    rows = run_table("2b", replications=100, paths_per_test=500, seed=0)
     ok = (
         rows[0].acceptance >= 0.85  # n^0.1
         and rows[1].acceptance >= 0.85  # n^0.25
@@ -71,7 +69,7 @@ def test_criterion_3_table_2b_near_stationary_sv():
 
 
 def test_criterion_4_table_2a_explosive_sv():
-    rows = run_table("2a", replications=100, paths_per_test=500, seed=0, threads=THREADS)
+    rows = run_table("2a", replications=100, paths_per_test=500, seed=0)
     ok = (
         rows[0].acceptance >= 0.85
         and rows[1].acceptance >= 0.85
@@ -177,14 +175,9 @@ def test_criterion_9_exact_invariants():
     spec = ExperimentSpec(params=params, paths_per_test=100, replications=8, seed=31)
     if run_replication(spec, 2).d_stat != run_replication(spec, 2).d_stat:
         failures.append("determinism")
-    serial, threaded = run_experiment(spec, threads=1), run_experiment(spec, threads=4)
-    if (serial.mean_ks, serial.acceptance_proportion) != (
-        threaded.mean_ks, threaded.acceptance_proportion,
-    ):
-        failures.append("thread-count independence")
 
     ok = not failures
-    detail = "all six invariants hold" if ok else f"violated: {', '.join(failures)}"
+    detail = "all five invariants hold" if ok else f"violated: {', '.join(failures)}"
     assert _report("9 (exact invariants)", ok, detail), detail
 
 

@@ -1,10 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from dl2u.cli import EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, build_parser, main
+from dl2u.cli import EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -114,6 +115,17 @@ class TestHist:
         assert record["target"] == "Cauchy(0,1)"
         assert record["params"]["c"] == 0.5
 
+    def test_out_file_is_complete_and_closed(self, tmp_path, capsys):
+        out = tmp_path / "hist.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, _ = run(capsys, "hist", "--n", "100", "--paths", "50",
+                                  "--bins", "20", "--seed", "1", "--out", str(out))
+        assert code == EXIT_OK
+        assert stdout == ""
+        assert len(json.loads(out.read_text())["counts"]) == 20
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestVerify:
     def test_draw_floor_is_domain_error(self, capsys):
@@ -127,6 +139,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, env_seed, code, message", [
+        (["simulate", "--n", "50", "--seed", "-1"], None, EXIT_DOMAIN, "64-bit"),
+        (["estimate", "missing.csv"], None, EXIT_DOMAIN, "missing.csv"),
+        (["simulate", "--n", "50"], "seven", EXIT_USAGE, "'seven'"),
+        (["verify", "--draws", "10"], "seven", EXIT_DOMAIN, "at least 100000"),
+    ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed"])
+    def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
+                                      tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if env_seed is not None:
+            monkeypatch.setenv("DL2U_SEED", env_seed)
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            got = exc.code
+        assert got == code
+        assert message in capsys.readouterr().err
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("DL2U_SEED", "424242")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dl2u.dgp import RngSeed, simulate_batch, simulate_path, simulate_volatility
+from dl2u.dgp import RngSeed, simulate_batch, simulate_path
 from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, rho_n
 
@@ -80,11 +80,6 @@ class TestRecursion:
         path = simulate_path(p, RngSeed(3))
         assert np.array_equal(path.y, [5.0])
         assert path.u.size == 0
-
-    def test_volatility_helper_matches_path(self):
-        p = stat_params()
-        path = simulate_path(p, RngSeed(8, 2))
-        assert np.array_equal(simulate_volatility(p, RngSeed(8, 2)), path.sigma2)
 
 
 class TestOverflow:

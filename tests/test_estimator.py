@@ -133,13 +133,13 @@ class TestNormalizedQuantities:
         vol = scales(p)
         kn = eval_sequence(p.kn, p.n)
         direct = float(path.y[1:] @ path.y[1:]) / (p.n * kn)
-        assert normalized_sum_squares(path, p, vol) == pytest.approx(direct, rel=1e-12)
+        assert normalized_sum_squares(path.y, p, vol) == pytest.approx(direct, rel=1e-12)
 
     def test_sum_squares_regime_guard(self):
         p = expl_params()
         path = simulate_path(p, RngSeed(4, 0))
         with pytest.raises(DomainError):
-            normalized_sum_squares(path, p, scales(p))
+            normalized_sum_squares(path.y, p, scales(p))
 
     def test_explosive_pair_ratio_reproduces_pivot(self):
         # at c = 0.5 the pair ratio equals the explosive pivot exactly

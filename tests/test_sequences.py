@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dl2u.sequences import (
     Regime,
     SequenceKind,
     SequenceSpec,
+    dispersion,
     eval_sequence,
     phi_n,
     rho_n,
@@ -110,40 +112,33 @@ class TestRoots:
 
 class TestVolatilityScales:
     def test_dispersion_endpoints(self):
-        vol = scales(stat_params())
-        assert vol.A(1) == pytest.approx(0.5, rel=1e-14)
-        assert vol.A(10**9) == pytest.approx(vol.A_inf, rel=1e-12)
+        phi = phi_n(stat_params())
+        assert dispersion(phi, 1) == pytest.approx(0.5, rel=1e-14)
+        assert dispersion(phi, 10**9) == pytest.approx(1.0 / (2.0 * (1.0 - phi**2)), rel=1e-12)
 
     def test_dispersion_and_x_fixtures(self):
-        # A_3 at phi = 0.9 is (1 - 0.9^6) / (2 (1 - 0.81)) = 1.23305
-        from dl2u.sequences import VolatilityScales
-
-        vol = VolatilityScales(phi=0.9, alpha=0.5, n=3, log_m_n=0.0,
-                               log_l_n=0.0, M_n=0, delta_n=1.0, Z_n=0.81)
-        assert vol.A(3) == pytest.approx(1.23305, rel=1e-5)
-        assert vol.x(3) == pytest.approx(math.exp(0.25 * 1.23305), rel=1e-5)
+        # A_3 at phi = 0.9 is (1 - 0.9^6) / (2 (1 - 0.81)) = 1.23305, and
+        # E[sigma_3^2] = exp(alpha^2 A_3)
+        assert dispersion(0.9, 3) == pytest.approx(1.23305, rel=1e-5)
+        x_3 = math.exp(0.25 * dispersion(0.9, 3))
+        assert x_3 == pytest.approx(math.exp(0.25 * 1.23305), rel=1e-5)
 
     def test_log_m_matches_direct_average(self):
         p = stat_params(n=50)
         vol = scales(p)
-        direct = np.mean([math.exp(p.alpha**2 * vol.A(t)) for t in range(1, 51)])
+        phi = phi_n(p)
+        direct = np.mean([math.exp(p.alpha**2 * dispersion(phi, t)) for t in range(1, 51)])
         assert math.exp(vol.log_m_n) == pytest.approx(direct, rel=1e-12)
 
     def test_alpha_zero_scales_are_unit(self):
         vol = scales(stat_params(alpha=0.0))
         assert vol.log_m_n == pytest.approx(0.0, abs=1e-15)
-        assert vol.l_n == 1.0
+        assert vol.log_l_n == 0.0
 
     def test_log_space_survives_overflow(self):
         # phi extremely close to 1 makes l_n astronomically large
         p = stat_params(alpha=3.0, d=1e-4, n=10**6)
         vol = scales(p)
-        assert math.isinf(vol.l_n)
+        assert vol.log_l_n > math.log(sys.float_info.max)
         assert math.isfinite(vol.log_l_n)
         assert math.isfinite(vol.log_m_n)
-
-    def test_cutoff_diagnostics(self):
-        vol = scales(stat_params())
-        assert vol.M_n >= 0
-        assert 0.0 < vol.delta_n <= 1.0
-        assert vol.Z_n == pytest.approx(vol.phi**2, rel=1e-15)
