@@ -30,6 +30,7 @@ from .estimator import (
     pivot_T,
     score_rho_error,
     sign_flip,
+    target_law,
 )
 from .montecarlo import (
     ExperimentSpec,
@@ -39,7 +40,6 @@ from .montecarlo import (
     run_experiment,
     run_replication,
     run_table,
-    target_law,
 )
 from .oracles import MomentCheck, run_moment_suite
 

@@ -38,7 +38,7 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--kn", default="pow:0.25", help="const:V | log | pow:A | lin")
     p.add_argument("--rn", default="log", help="const:V | log | pow:A | lin")
-    p.add_argument("--regime", choices=["stat", "expl"], default="stat")
+    p.add_argument("--regime", choices=[r.value for r in Regime], default="stat")
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--z0", type=float, default=0.0)
 
@@ -51,7 +51,7 @@ def _params_from(args) -> ModelParams:
         n=args.n,
         kn=SequenceSpec.parse(args.kn),
         rn=SequenceSpec.parse(args.rn),
-        regime=Regime.NEAR_STATIONARY if args.regime == "stat" else Regime.MILDLY_EXPLOSIVE,
+        regime=Regime(args.regime),
         y0=args.y0,
         z0=args.z0,
     )
@@ -111,14 +111,17 @@ def cmd_estimate(args) -> int:
         data = np.genfromtxt(args.path, delimiter=",", names=True)
     except OSError as exc:
         raise DomainError(f"cannot read {args.path}: {exc}") from exc
-    y = np.atleast_1d(data["y"])
-    u = np.atleast_1d(data["u"])[1:]  # u column is empty at t=0
+    except IndexError:  # genfromtxt's failure on an empty file
+        raise DomainError(f"cannot read {args.path}: the file is empty") from None
+    if not {"y", "u"} <= set(data.dtype.names):
+        raise DomainError(f"{args.path} has no y and u columns")
+    if data.size != params.n + 1:
+        raise DomainError(f"{args.path} has {data.size} rows; --n {params.n} needs {params.n + 1}")
+    y, u = data["y"], data["u"][1:]  # u column is empty at t=0
     ols = ols_rho(y)
     rho_err = score_rho_error(SimulatedPath(y=y, sigma2=np.ones_like(y), u=u))
-    if params.regime is Regime.NEAR_STATIONARY:
-        piv = pivot_T(ols, params, rho_error=rho_err)
-    else:
-        piv = pivot_S(ols, params, rho_error=rho_err)
+    pivot = pivot_T if params.regime is Regime.NEAR_STATIONARY else pivot_S
+    piv = pivot(ols, params, rho_error=rho_err)
     report = {
         "rho_hat": ols.rho_hat,
         "pivot": {"kind": piv.kind, "value": piv.value},
@@ -146,19 +149,14 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+# hist panel -> (table, default k_n); n defaults to the table's size
+_PANELS = {"left": ("2b", "pow:0.25"), "right": ("2a", "pow:0.5")}
+
+
 def cmd_hist(args) -> int:
-    if args.panel == "left":
-        params = ModelParams(
-            c=1.0, d=1.0, alpha=0.5, n=args.n or 1000,
-            kn=SequenceSpec.parse(args.kn or "pow:0.25"),
-            regime=Regime.NEAR_STATIONARY,
-        )
-    else:  # n capped at 300 by default to keep rho_n^n representable
-        params = ModelParams(
-            c=0.5, d=1.0, alpha=0.5, n=args.n or 300,
-            kn=SequenceSpec.parse(args.kn or "pow:0.5"),
-            regime=Regime.MILDLY_EXPLOSIVE,
-        )
+    table_id, kn = _PANELS[args.panel]
+    sizes = {"n_nearstat": args.n, "n_explosive": args.n} if args.n else {}
+    params = montecarlo.table_params(table_id, SequenceSpec.parse(args.kn or kn), **sizes)
     spec = montecarlo.ExperimentSpec(
         params=params, paths_per_test=args.paths, replications=1, seed=args.seed
     )
@@ -175,18 +173,10 @@ def cmd_verify(args) -> int:
     checks = oracles.run_moment_suite(draws=args.draws, seed=args.seed)
     reports = [c.as_dict() for c in checks]
 
-    grid = [
-        ModelParams(c=1.0, d=1.0, alpha=0.0, n=n,
-                    kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY)
-        for n in (1000, 10000)
-    ]
+    grid = [montecarlo.table_params("1a", SequenceSpec.power_of_n(0.25), n) for n in (1000, 10000)]
     eq6 = oracles.check_eq6_convergence(grid, seed=args.seed + 1)
-    wnvn = oracles.check_wnvn(
-        ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                    kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE),
-        B=2000,
-        seed=args.seed + 2,
-    )
+    wnvn_params = montecarlo.table_params("2a", SequenceSpec.power_of_n(0.5), n_explosive=300)
+    wnvn = oracles.check_wnvn(wnvn_params, seed=args.seed + 2)
     all_passed = all(r["passed"] for r in reports) and eq6["passed"] and wnvn["passed"]
     report = {"moment_checks": reports, "eq6": eq6, "wn_vn": wnvn, "passed": all_passed}
     json.dump(report, sys.stdout, indent=2)
@@ -231,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("hist", help="emit a pivot histogram with target overlay")
-    p.add_argument("--panel", choices=["left", "right"], default="left")
+    p.add_argument("--panel", choices=list(_PANELS), default="left")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--kn", default=None)
     p.add_argument("--paths", type=int, default=500)

@@ -29,6 +29,7 @@ from .sequences import ModelParams, Regime, VolatilityScales, eval_sequence, rho
 __all__ = [
     "OlsResult",
     "PivotValue",
+    "target_law",
     "ols_rho",
     "score_rho_error",
     "stationary_scale",
@@ -88,6 +89,13 @@ class PivotValue:
     target: TargetLaw
 
 
+def target_law(params: ModelParams) -> TargetLaw:
+    """Limit law of the regime's pivot: N(0, 2c), or the standard Cauchy."""
+    if params.regime is Regime.NEAR_STATIONARY:
+        return TargetLaw.normal(2.0 * params.c)
+    return TargetLaw.standard_cauchy()
+
+
 def stationary_scale(params: ModelParams) -> float:
     """sqrt(n k_n), the near-stationary pivot's normalization."""
     if params.regime is not Regime.NEAR_STATIONARY:
@@ -125,7 +133,7 @@ def pivot_T(ols: OlsResult, params: ModelParams, rho_error: float | None = None)
     """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c)."""
     scale = stationary_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    return PivotValue(kind="T", value=scale * diff, target=TargetLaw.normal(2.0 * params.c))
+    return PivotValue(kind="T", value=scale * diff, target=target_law(params))
 
 
 def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
@@ -133,7 +141,7 @@ def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None)
     log_scale, n_log_rho = log_explosive_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
     value = _rescale(diff, log_scale, n_log_rho, "explosive pivot")
-    return PivotValue(kind="S", value=value, target=TargetLaw.standard_cauchy())
+    return PivotValue(kind="S", value=value, target=target_law(params))
 
 
 def sign_flip(y):

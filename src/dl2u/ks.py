@@ -77,7 +77,7 @@ def ks_statistic(sample, law: TargetLaw) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_pvalue(d: float, m: int, tol: float = 1e-12) -> float:
+def ks_pvalue(d: float, m: int) -> float:
     """Asymptotic two-sided KS p-value with the Stephens small-sample factor."""
     if not 0.0 <= d <= 1.0:
         raise DomainError("KS distance must lie in [0, 1]")
@@ -91,7 +91,7 @@ def ks_pvalue(d: float, m: int, tol: float = 1e-12) -> float:
     for k in range(1, 1000):
         term = math.exp(-2.0 * k * k * lam * lam)
         total += sign * term
-        if term < tol:
+        if term < 1e-12:
             break
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))

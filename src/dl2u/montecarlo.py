@@ -15,8 +15,8 @@ import numpy as np
 
 from . import dgp
 from .errors import DomainError, NumericOverflowError
-from .estimator import check_explosive_overflow, log_explosive_scale, stationary_scale
-from .ks import KsResult, TargetLaw, density, ks_test
+from .estimator import check_explosive_overflow, log_explosive_scale, stationary_scale, target_law
+from .ks import KsResult, density, ks_test
 from .sequences import ModelParams, Regime, SequenceSpec
 
 __all__ = [
@@ -24,7 +24,8 @@ __all__ = [
     "ExperimentSummary",
     "TableRow",
     "TABLE_IDS",
-    "target_law",
+    "table_params",
+    "table_kn_rows",
     "replication_pivots",
     "run_replication",
     "run_experiment",
@@ -55,12 +56,6 @@ class ExperimentSummary:
     mean_ks: float
     acceptance_proportion: float
     per_replication: tuple[KsResult, ...]
-
-
-def target_law(params: ModelParams) -> TargetLaw:
-    if params.regime is Regime.NEAR_STATIONARY:
-        return TargetLaw.normal(2.0 * params.c)
-    return TargetLaw.standard_cauchy()
 
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
@@ -115,6 +110,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
 # n=300) with alpha=0, the SV tables d=1, alpha=0.5.  The "constant" row
 # value is a calibration choice: k=3 keeps both the variance deficit
 # 2c - c^2/k and the O(1/n) estimator bias small at the default sizes.
+# The explosive tables stop at n=300 to keep rho_n^n representable.
 CONSTANT_KN = 3.0
 
 _KN_FULL = [
@@ -129,7 +125,14 @@ _KN_FULL = [
 ]
 _KN_SV = _KN_FULL[2:]
 
-TABLE_IDS = ("1a", "1b", "2a", "2b")
+# table id -> (c, alpha, regime, k_n rows); d = 1 throughout
+_TABLES = {
+    "1a": (1.0, 0.0, Regime.NEAR_STATIONARY, _KN_FULL),
+    "1b": (0.5, 0.0, Regime.MILDLY_EXPLOSIVE, _KN_FULL),
+    "2a": (0.5, 0.5, Regime.MILDLY_EXPLOSIVE, _KN_SV),
+    "2b": (1.0, 0.5, Regime.NEAR_STATIONARY, _KN_SV),
+}
+TABLE_IDS = tuple(_TABLES)
 
 
 @dataclass(frozen=True)
@@ -139,22 +142,24 @@ class TableRow:
     acceptance: float
 
 
-def _table_params(table_id: str, kn: SequenceSpec, n_nearstat: int, n_explosive: int) -> ModelParams:
-    if table_id == "1a":
-        return ModelParams(c=1.0, d=1.0, alpha=0.0, n=n_nearstat, kn=kn, regime=Regime.NEAR_STATIONARY)
-    if table_id == "1b":
-        return ModelParams(c=0.5, d=1.0, alpha=0.0, n=n_explosive, kn=kn, regime=Regime.MILDLY_EXPLOSIVE)
-    if table_id == "2a":
-        return ModelParams(c=0.5, d=1.0, alpha=0.5, n=n_explosive, kn=kn, regime=Regime.MILDLY_EXPLOSIVE)
-    if table_id == "2b":
-        return ModelParams(c=1.0, d=1.0, alpha=0.5, n=n_nearstat, kn=kn, regime=Regime.NEAR_STATIONARY)
-    raise DomainError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+def _table(table_id: str) -> tuple:
+    if table_id not in _TABLES:
+        raise DomainError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    return _TABLES[table_id]
+
+
+def table_params(
+    table_id: str, kn: SequenceSpec, n_nearstat: int = 1000, n_explosive: int = 300
+) -> ModelParams:
+    """The model of table `table_id` at persistence k_n, with n set by its regime."""
+    c, alpha, regime, _ = _table(table_id)
+    n = n_nearstat if regime is Regime.NEAR_STATIONARY else n_explosive
+    return ModelParams(c=c, d=1.0, alpha=alpha, n=n, kn=kn, regime=regime)
 
 
 def table_kn_rows(table_id: str) -> list[tuple[str, SequenceSpec]]:
-    if table_id not in TABLE_IDS:
-        raise DomainError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-    return list(_KN_FULL if table_id.startswith("1") else _KN_SV)
+    """The (label, k_n) rows of table `table_id`, in order."""
+    return list(_table(table_id)[3])
 
 
 def _row_seed(seed: int, row: int) -> int:
@@ -176,7 +181,7 @@ def run_table(
     """Reproduce one table: a KS summary per mean-persistence row."""
     rows = []
     for i, (label, kn) in enumerate(table_kn_rows(table_id)):
-        params = _table_params(table_id, kn, n_nearstat, n_explosive)
+        params = table_params(table_id, kn, n_nearstat, n_explosive)
         spec = ExperimentSpec(
             params=params,
             paths_per_test=paths_per_test,
@@ -188,15 +193,11 @@ def run_table(
     return rows
 
 
-def emit_histogram(
-    spec: ExperimentSpec,
-    bins: int = 50,
-    clip_quantiles: tuple[float, float] = (0.01, 0.99),
-) -> dict:
+def emit_histogram(spec: ExperimentSpec, bins: int = 50) -> dict:
     """Histogram of pooled pivot values with the target density overlay.
 
-    Explosive pivots are clipped to an empirical quantile window before
-    binning (Cauchy tails make fixed-width bins useless otherwise).
+    Explosive pivots are clipped to their 1%-99% empirical quantile window
+    before binning (Cauchy tails make fixed-width bins useless otherwise).
     """
     if bins < 10:
         raise DomainError("need at least 10 bins")
@@ -205,7 +206,7 @@ def emit_histogram(
     )
     law = target_law(spec.params)
     if spec.params.regime is Regime.MILDLY_EXPLOSIVE:
-        lo, hi = np.quantile(pooled, clip_quantiles)
+        lo, hi = np.quantile(pooled, (0.01, 0.99))
         kept = pooled[(pooled >= lo) & (pooled <= hi)]
     else:
         kept = pooled

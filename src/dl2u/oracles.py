@@ -33,6 +33,8 @@ __all__ = [
 
 MIN_DRAWS = 10**5
 Z_THRESHOLD = 4.0
+EQ6_PATHS = 200  # paths per grid point of check_eq6_convergence
+WNVN_PATHS = 2000  # paths of check_wnvn
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,11 @@ def _check(label, mc, closed, se) -> MomentCheck:
     return MomentCheck(label, float(mc), float(closed), float(se), float(z))
 
 
-def _generator(draws: int, seed: int) -> np.random.Generator:
-    if draws < MIN_DRAWS:
-        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], draws: int, seed: int) -> list[np.ndarray]:
     """Antithetic draws of z_t = sum_j phi^j eta_{t-j}, z_0 = 0, for each t in steps."""
-    rng = _generator(draws, seed)
+    if draws < MIN_DRAWS:
+        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     half = draws // 2
     z = np.zeros(half)
     at = {0: z}
@@ -118,9 +116,8 @@ def check_cross_moment(alpha, phi, s, t, draws=MIN_DRAWS, seed=303) -> MomentChe
 
 def check_conditional_mean(alpha, phi, draws=MIN_DRAWS, seed=404) -> MomentCheck:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
-    rng = _generator(draws, seed)
-    eta = alpha * rng.standard_normal(draws // 2)
-    shock = np.concatenate([np.exp(eta), np.exp(-eta)])
+    (eta,) = _simulate_z(0.0, alpha, (1,), draws, seed)  # z_1 = eta_1 when phi = 0
+    shock = np.exp(eta)
     worst = None
     for z_prev in np.linspace(-2.0, 2.0, 5):
         vals = math.exp(phi * z_prev) * shock
@@ -132,7 +129,7 @@ def check_conditional_mean(alpha, phi, draws=MIN_DRAWS, seed=404) -> MomentCheck
     return worst
 
 
-def check_eq6_convergence(params_grid, paths: int = 200, seed: int = 505) -> dict:
+def check_eq6_convergence(params_grid, seed: int = 505) -> dict:
     """Normalized sum of squares drifting to 1/(2c) along an n-grid.
 
     Passes when the absolute error at the largest n is below the error at
@@ -145,7 +142,7 @@ def check_eq6_convergence(params_grid, paths: int = 200, seed: int = 505) -> dic
     entries = []
     for params in params_grid:
         vol = scales(params)
-        y, _, _ = dgp.simulate_batch(params, seed, np.arange(paths, dtype=np.uint64))
+        y, _, _ = dgp.simulate_batch(params, seed, np.arange(EQ6_PATHS, dtype=np.uint64))
         stats = normalized_sum_squares(y, params, vol)
         target = 1.0 / (2.0 * params.c)
         entries.append({"n": params.n, "mean": float(stats.mean()),
@@ -159,7 +156,7 @@ def check_eq6_convergence(params_grid, paths: int = 200, seed: int = 505) -> dic
     return {"label": "eq6_convergence", "grid": entries, "passed": passed}
 
 
-def check_wnvn(params: ModelParams, B: int = 2000, seed: int = 606) -> dict:
+def check_wnvn(params: ModelParams, seed: int = 606) -> dict:
     """Variances of the explosive auxiliary sums vs 1/(2c), correlation vs 0.
 
     W_n weights innovations by rho^-j, V_n by rho^-(n-j+1); the limit is an
@@ -171,7 +168,7 @@ def check_wnvn(params: ModelParams, B: int = 2000, seed: int = 606) -> dict:
     rho = rho_n(params)
     kn = eval_sequence(params.kn, params.n)
     n = params.n
-    _, _, u = dgp.simulate_batch(params, seed, np.arange(B, dtype=np.uint64))
+    _, _, u = dgp.simulate_batch(params, seed, np.arange(WNVN_PATHS, dtype=np.uint64))
     j = np.arange(1, n + 1)
     half_log_norm = 0.5 * (vol.log_l_n + math.log(kn))
     w_weights = np.exp(-j * math.log(rho) - half_log_norm)
@@ -187,7 +184,7 @@ def check_wnvn(params: ModelParams, B: int = 2000, seed: int = 606) -> dict:
                 "z": (var - target) / se}
 
     corr = float(np.corrcoef(W, V)[0, 1])
-    corr_se = 1.0 / math.sqrt(B)
+    corr_se = 1.0 / math.sqrt(WNVN_PATHS)
     checks = [
         _var_entry("var_W", W),
         _var_entry("var_V", V),

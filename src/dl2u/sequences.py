@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 
-class SequenceKind(Enum):
-    CONSTANT = "constant"
+class SequenceKind(Enum):  # each value is the kind's head in CLI notation
+    CONSTANT = "const"
     LOG_OF_N = "log"
     POWER_OF_N = "pow"
     LINEAR_N = "lin"
@@ -50,8 +50,8 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind is SequenceKind.CONSTANT:
-            if self.value is None or self.value <= 0:
-                raise DomainError("constant sequence needs a positive value")
+            if self.value is None or not 0 < self.value < math.inf:
+                raise DomainError("constant sequence needs a positive finite value")
         elif self.kind is SequenceKind.POWER_OF_N:
             if self.value is None or not 0 < self.value <= 1:
                 raise DomainError("power sequence needs exponent in (0, 1]")
@@ -77,25 +77,20 @@ class SequenceSpec:
     @staticmethod
     def parse(text: str) -> "SequenceSpec":
         """Parse CLI notation: 'const:V', 'log', 'pow:A' or 'lin'."""
-        head, _, arg = text.partition(":")
-        if head == "const":
-            return SequenceSpec.constant(float(arg))
-        if head == "log":
-            return SequenceSpec.log_of_n()
-        if head == "pow":
-            return SequenceSpec.power_of_n(float(arg))
-        if head == "lin":
-            return SequenceSpec.linear_n()
-        raise DomainError(f"unknown sequence spec {text!r}")
+        head, colon, arg = text.partition(":")
+        try:
+            kind, value = SequenceKind(head), float(arg) if colon else None
+        except ValueError:
+            raise DomainError(
+                f"malformed sequence spec {text!r}; expected const:V, log, pow:A or lin"
+            ) from None
+        return SequenceSpec(kind, value)
 
     def label(self) -> str:
-        if self.kind is SequenceKind.CONSTANT:
-            return f"const:{self.value:g}"
-        if self.kind is SequenceKind.LOG_OF_N:
-            return "log"
-        if self.kind is SequenceKind.POWER_OF_N:
-            return f"pow:{self.value:g}"
-        return "lin"
+        """CLI notation of the sequence; `parse` inverts it."""
+        if self.value is None:
+            return self.kind.value
+        return f"{self.kind.value}:{self.value:g}"
 
 
 def eval_sequence(spec: SequenceSpec, n: int) -> float:
@@ -137,8 +132,8 @@ class ModelParams:
             raise DomainError("d must be positive")
         if self.alpha < 0:
             raise DomainError("alpha must be nonnegative")
-        if self.n < 0:
-            raise DomainError("n must be nonnegative")
+        if self.n < 3:  # eval_sequence, which every formula calls, needs n >= 3
+            raise DomainError(f"n must be at least 3, got n={self.n}")
 
 
 def rho_n(params: ModelParams) -> float:
@@ -153,11 +148,11 @@ def rho_n(params: ModelParams) -> float:
     return 1.0 + params.c / kn
 
 
-def _min_admissible_n(rn: SequenceSpec, d: float, n_max: int = 10**9) -> int | None:
-    """Smallest n >= 3 with log(r_n) > d, or None if no such n exists."""
-    if math.log(eval_sequence(rn, n_max)) <= d:
+def _min_admissible_n(rn: SequenceSpec, d: float) -> int | None:
+    """Smallest n in [3, 10^9] with log(r_n) > d, or None if no such n exists."""
+    lo, hi = 3, 10**9
+    if math.log(eval_sequence(rn, hi)) <= d:
         return None
-    lo, hi = 3, n_max
     while lo < hi:
         mid = (lo + hi) // 2
         if math.log(eval_sequence(rn, mid)) > d:
@@ -214,6 +209,6 @@ def scales(params: ModelParams) -> VolatilityScales:
     # math.expm1 by 1 ulp at (phi=0.9, t=2), a value that the cross-moment
     # closed form of `dl2u verify` pins.
     A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi2))
-    log_m = float(logsumexp(alpha**2 * A_t) - math.log(n)) if n >= 1 else 0.0
+    log_m = float(logsumexp(alpha**2 * A_t) - math.log(n))
     log_l = alpha**2 / (2.0 * (1.0 - phi2))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -133,7 +133,7 @@ def test_criterion_7_sum_of_squares_convergence():
 def test_criterion_8_wn_vn_limit_pair():
     params = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
                          kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
-    result = check_wnvn(params, B=2000, seed=13)
+    result = check_wnvn(params, seed=13)
     detail = "; ".join(
         f"{c['name']}={c['value']:.4f} (target {c['target']:.2f}, z={c['z']:.2f})"
         for c in result["checks"]

@@ -20,7 +20,8 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--n", "50", "--alpha", "0.5",
                          "--seed", "7", "--rep", "2", "--out", str(out))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 51
         assert rows[0]["u"] == ""  # no innovation at t = 0
         meta = json.loads((tmp_path / "path.csv.meta.json").read_text())
@@ -134,6 +135,14 @@ class TestVerify:
         assert "at least 100000" in err
 
 
+# estimate inputs that break its contract; short.csv is a path of n = 3
+BAD_CSVS = {
+    "ab.csv": "a,b\n1,2\n3,4\n",
+    "empty.csv": "",
+    "short.csv": "t,y,sigma2,u\n0,0,1,\n1,0.5,1,0.5\n2,1,1,0.75\n3,1,1,0.25\n",
+}
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -145,10 +154,20 @@ class TestParser:
         (["estimate", "missing.csv"], None, EXIT_DOMAIN, "missing.csv"),
         (["simulate", "--n", "50"], "seven", EXIT_USAGE, "'seven'"),
         (["verify", "--draws", "10"], "seven", EXIT_DOMAIN, "at least 100000"),
-    ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed"])
+        (["estimate", "ab.csv"], None, EXIT_DOMAIN, "ab.csv has no y and u columns"),
+        (["estimate", "empty.csv"], None, EXIT_DOMAIN, "empty.csv: the file is empty"),
+        (["estimate", "short.csv"], None, EXIT_DOMAIN, "4 rows; --n 1000 needs 1001"),
+        (["simulate", "--n", "50", "--kn", "const:"], None, EXIT_DOMAIN, "'const:'"),
+        (["simulate", "--n", "50", "--kn", "pow:abc"], None, EXIT_DOMAIN, "'pow:abc'"),
+        (["simulate", "--n", "50", "--kn", "log:5"], None, EXIT_DOMAIN, "takes no parameter"),
+    ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed",
+            "csv-without-y-u", "empty-csv", "csv-length-not-n", "kn-const-no-value",
+            "kn-pow-not-a-number", "kn-log-with-value"])
     def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
                                       tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        for name, text in BAD_CSVS.items():
+            (tmp_path / name).write_text(text)
         if env_seed is not None:
             monkeypatch.setenv("DL2U_SEED", env_seed)
         try:

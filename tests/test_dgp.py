@@ -75,12 +75,6 @@ class TestRecursion:
         assert path.y[0] == 5.0
         assert path.sigma2[0] == pytest.approx(np.exp(1.0), rel=1e-15)
 
-    def test_n_zero_edge(self):
-        p = stat_params(n=0, y0=5.0)
-        path = simulate_path(p, RngSeed(3))
-        assert np.array_equal(path.y, [5.0])
-        assert path.u.size == 0
-
 
 class TestOverflow:
     def test_overflow_raises_with_location(self):

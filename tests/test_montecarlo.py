@@ -15,6 +15,7 @@ from dl2u.montecarlo import (
     run_replication,
     run_table,
     table_kn_rows,
+    table_params,
     target_law,
 )
 from dl2u.sequences import ModelParams, Regime, SequenceSpec
@@ -117,9 +118,21 @@ class TestTables:
         assert len(table_kn_rows("2b")) == 6
         assert table_kn_rows("2a")[0][0] == "n^0.1"
 
+    def test_table_params(self):
+        kn = SequenceSpec.power_of_n(0.5)
+        got = [table_params(tid, kn, n_nearstat=400, n_explosive=200) for tid in TABLE_IDS]
+        assert [(p.c, p.d, p.alpha, p.n, p.kn, p.regime) for p in got] == [
+            (1.0, 1.0, 0.0, 400, kn, Regime.NEAR_STATIONARY),
+            (0.5, 1.0, 0.0, 200, kn, Regime.MILDLY_EXPLOSIVE),
+            (0.5, 1.0, 0.5, 200, kn, Regime.MILDLY_EXPLOSIVE),
+            (1.0, 1.0, 0.5, 400, kn, Regime.NEAR_STATIONARY),
+        ]
+
     def test_unknown_table_id(self):
         with pytest.raises(DomainError):
             table_kn_rows("3c")
+        with pytest.raises(DomainError):
+            table_params("3c", SequenceSpec.log_of_n())
         with pytest.raises(DomainError):
             run_table("3c")
 

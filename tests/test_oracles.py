@@ -97,7 +97,7 @@ class TestConvergenceChecks:
     def test_wnvn_passes_at_reference_point(self):
         p = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
                         kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
-        result = check_wnvn(p, B=2000)
+        result = check_wnvn(p)
         assert result["passed"]
         assert {c["name"] for c in result["checks"]} == {"var_W", "var_V", "corr_WV"}
 

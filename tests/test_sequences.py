@@ -41,8 +41,9 @@ class TestSequenceSpec:
     def test_constant_needs_positive_value(self):
         with pytest.raises(DomainError):
             SequenceSpec.constant(0.0)
-        with pytest.raises(DomainError):
-            SequenceSpec.constant(-1.0)
+        for value in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SequenceSpec.constant(value)
 
     def test_power_exponent_range(self):
         with pytest.raises(DomainError):
@@ -82,11 +83,9 @@ class TestModelParams:
             stat_params(d=0.0)
         with pytest.raises(DomainError):
             stat_params(alpha=-0.1)
-        with pytest.raises(DomainError):
-            stat_params(n=-1)
-
-    def test_n_zero_is_allowed(self):
-        assert stat_params(n=0).n == 0
+        for n in (-1, 0, 2):
+            with pytest.raises(DomainError, match="at least 3"):
+                stat_params(n=n)
 
 
 class TestRoots:
