@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,7 +109,9 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     params = _params_from(args)
     try:
-        data = np.genfromtxt(args.path, delimiter=",", names=True)
+        with warnings.catch_warnings():  # an empty file is reported below, once
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+            data = np.genfromtxt(args.path, delimiter=",", names=True)
     except OSError as exc:
         raise DomainError(f"cannot read {args.path}: {exc}") from exc
     except IndexError:  # genfromtxt's failure on an empty file

@@ -36,20 +36,37 @@ class RngSeed:
             raise DomainError("stream must be a 64-bit unsigned integer")
 
 
-def _generator(seed: RngSeed, series: int) -> np.random.Generator:
-    # 128-bit Philox key = (base, stream); disjoint series live 2^192
-    # counter blocks apart, so draws can never overlap.
-    key = seed.base | (seed.stream << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=series << 192))
+def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the (eps, eta) innovations of len(streams) paths, each of shape (B, n).
 
-
-def draw_innovations(params: ModelParams, seed: RngSeed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (eps, eta) innovation pair for one path, each of length n."""
-    eps = _generator(seed, _EPS_SERIES).standard_normal(params.n)
+    Row j of series s is the Philox stream with 128-bit key
+    (base, streams[j]) started at counter s << 192, so disjoint series can
+    never overlap.  One generator is re-keyed per row and series rather
+    than rebuilt: a fresh key, counter and empty buffer give the same bits.
+    """
+    RngSeed(base)  # validates the 64-bit range
+    streams = np.asarray(streams, dtype=np.uint64)
+    B, n = len(streams), params.n
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    eps = np.empty((B, n))
+    eta = np.zeros((B, n))  # unwritten at alpha = 0: filling 16 MB of it cost +15.3 MB RSS
+    series = [(_EPS_SERIES, eps)]
     if params.alpha > 0:
-        eta = params.alpha * _generator(seed, _ETA_SERIES).standard_normal(params.n)
-    else:
-        eta = np.zeros(params.n)
+        series.append((_ETA_SERIES, eta))
+    for j, stream in enumerate(streams.tolist()):
+        for counter_hi, out in series:
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"key": (base, stream), "counter": (0, 0, 0, counter_hi)},
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=out[j])
+    if params.alpha > 0:
+        eta *= params.alpha
     return eps, eta
 
 
@@ -73,32 +90,37 @@ def simulate_batch(
     """
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
+    rho = rho_n(params)
+    phi = phi_n(params)
 
     y = np.empty((B, n + 1))
     sigma2 = np.empty((B, n + 1))
     u = np.empty((B, n))
+    # Drawn after the outputs are allocated: the reverse order left the peak
+    # RSS of repeated `dl2u verify` calls 2 MB (1.5%) higher.
+    eps, eta = draw_innovations(params, base, streams)
+
+    # Only z and y are true recurrences; each step is one multiply and one
+    # add per element, in the same order as z = phi z + eta, y = rho y + u.
+    # z runs in sigma2's columns and is exponentiated there afterwards.
     y[:, 0] = params.y0
-    sigma2[:, 0] = np.exp(params.z0)
-
-    rho = rho_n(params)
-    phi = phi_n(params)
-
-    eps = np.empty((B, n))
-    eta = np.zeros((B, n))  # unwritten at alpha = 0: filling 16 MB of it cost +15.3 MB RSS
-    for j, stream in enumerate(streams):
-        seed = RngSeed(base, int(stream))
-        eps[j], eta_j = draw_innovations(params, seed)
-        if params.alpha > 0:
-            eta[j] = eta_j
-
-    z = np.full(B, params.z0)
-    with np.errstate(over="ignore"):  # finiteness is checked explicitly below
+    if params.alpha > 0:
+        sigma2[:, 0] = params.z0
         for t in range(n):
-            z = phi * z + eta[:, t]
-            s2 = np.exp(z)
-            sigma2[:, t + 1] = s2
-            u[:, t] = np.sqrt(s2) * eps[:, t]
-            y[:, t + 1] = rho * y[:, t] + u[:, t]
+            np.multiply(sigma2[:, t], phi, out=sigma2[:, t + 1])
+            sigma2[:, t + 1] += eta[:, t]
+    else:  # eta = 0, so every path shares one z; "+ 0.0" is its eta term
+        z = [params.z0]
+        for t in range(n):
+            z.append(phi * z[t] + 0.0)
+        sigma2[:] = z
+    with np.errstate(over="ignore"):  # finiteness is checked explicitly below
+        np.exp(sigma2, out=sigma2)
+        np.sqrt(sigma2[:, 1:], out=u)
+        u *= eps
+        for t in range(n):
+            np.multiply(y[:, t], rho, out=y[:, t + 1])
+            y[:, t + 1] += u[:, t]
 
     if not np.all(np.isfinite(y)):
         j_bad, t_bad = np.argwhere(~np.isfinite(y))[0]

@@ -99,16 +99,15 @@ def ks_pvalue(d: float, m: int) -> float:
 
 @dataclass(frozen=True)
 class KsResult:
-    """KS distance with its asymptotic p-value against a named target law."""
+    """KS distance with its asymptotic p-value and sample size."""
 
     d_stat: float
     p_value: float
     sample_size: int
-    target: TargetLaw
 
 
 def ks_test(sample, law: TargetLaw) -> KsResult:
     """Run the one-sample KS test of `sample` against `law`."""
     d = ks_statistic(sample, law)
     m = len(np.asarray(sample))
-    return KsResult(d_stat=d, p_value=ks_pvalue(d, m), sample_size=m, target=law)
+    return KsResult(d_stat=d, p_value=ks_pvalue(d, m), sample_size=m)

@@ -90,7 +90,10 @@ class SequenceSpec:
         """CLI notation of the sequence; `parse` inverts it."""
         if self.value is None:
             return self.kind.value
-        return f"{self.kind.value}:{self.value:g}"
+        text = f"{self.value:g}"  # short form, unless it rounds the value
+        if float(text) != self.value:
+            text = repr(self.value)
+        return f"{self.kind.value}:{text}"
 
 
 def eval_sequence(spec: SequenceSpec, n: int) -> float:

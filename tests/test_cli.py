@@ -139,6 +139,7 @@ class TestVerify:
 BAD_CSVS = {
     "ab.csv": "a,b\n1,2\n3,4\n",
     "empty.csv": "",
+    "blank.csv": "\n\n",
     "short.csv": "t,y,sigma2,u\n0,0,1,\n1,0.5,1,0.5\n2,1,1,0.75\n3,1,1,0.25\n",
 }
 
@@ -156,12 +157,13 @@ class TestParser:
         (["verify", "--draws", "10"], "seven", EXIT_DOMAIN, "at least 100000"),
         (["estimate", "ab.csv"], None, EXIT_DOMAIN, "ab.csv has no y and u columns"),
         (["estimate", "empty.csv"], None, EXIT_DOMAIN, "empty.csv: the file is empty"),
+        (["estimate", "blank.csv"], None, EXIT_DOMAIN, "blank.csv: the file is empty"),
         (["estimate", "short.csv"], None, EXIT_DOMAIN, "4 rows; --n 1000 needs 1001"),
         (["simulate", "--n", "50", "--kn", "const:"], None, EXIT_DOMAIN, "'const:'"),
         (["simulate", "--n", "50", "--kn", "pow:abc"], None, EXIT_DOMAIN, "'pow:abc'"),
         (["simulate", "--n", "50", "--kn", "log:5"], None, EXIT_DOMAIN, "takes no parameter"),
     ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed",
-            "csv-without-y-u", "empty-csv", "csv-length-not-n", "kn-const-no-value",
+            "csv-without-y-u", "empty-csv", "blank-csv", "csv-length-not-n", "kn-const-no-value",
             "kn-pow-not-a-number", "kn-log-with-value"])
     def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
                                       tmp_path, monkeypatch, capsys):
@@ -170,12 +172,18 @@ class TestParser:
             (tmp_path / name).write_text(text)
         if env_seed is not None:
             monkeypatch.setenv("DL2U_SEED", env_seed)
-        try:
-            got = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            got = exc.code
+        with warnings.catch_warnings(record=True) as caught:  # a CLI prints them to stderr
+            warnings.simplefilter("always")
+            try:
+                got = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                got = exc.code
+        err = capsys.readouterr().err
         assert got == code
-        assert message in capsys.readouterr().err
+        assert message in err
+        assert [str(w.message) for w in caught] == []
+        if code == EXIT_DOMAIN:
+            assert err.startswith("domain error: ") and err.count("\n") == 1
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("DL2U_SEED", "424242")

@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dl2u.dgp import RngSeed, simulate_batch, simulate_path
+from dl2u.dgp import RngSeed, draw_innovations, simulate_batch, simulate_path
 from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, rho_n
 
@@ -41,6 +44,23 @@ class TestDeterminism:
             assert np.array_equal(y[row], single.y)
             assert np.array_equal(sigma2[row], single.sigma2)
             assert np.array_equal(u[row], single.u)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_draws_match_fresh_generators(self, alpha):
+        # Re-keying one Philox must leave no buffered draw behind: an odd n
+        # stops each series mid-block.
+        p = stat_params(alpha=alpha, n=17)
+        base, streams = 2**64 - 1, [9, 0, 2**64 - 1, 5]
+        eps, eta = draw_innovations(p, base, streams)
+        assert eps.shape == eta.shape == (len(streams), p.n)
+        for j, s in enumerate(streams):
+            fresh_eps, fresh_eta = (
+                np.random.Generator(np.random.Philox(key=base | s << 64, counter=series << 192))
+                .standard_normal(p.n)
+                for series in (0, 1)
+            )
+            assert np.array_equal(eps[j], fresh_eps)
+            assert np.array_equal(eta[j], alpha * fresh_eta)
 
     def test_streams_are_distinct(self):
         p = stat_params()
@@ -84,3 +104,50 @@ class TestOverflow:
         )
         with pytest.raises(NumericOverflowError, match="t="):
             simulate_batch(p, 0, [0])
+
+
+# SHA-256 of simulate_batch's (y, sigma2, u) as <f8 bytes.  Existing seeds
+# must keep reproducing existing paths; each case reaches inputs that the
+# benchmark's hash gates do not.
+GOLDEN_CASES = {
+    "y0-z0-alpha-0": (dict(alpha=0.0, y0=5.0, z0=1.0), 11, [0, 1, 2],
+                      "37e478fd2d8d23bc28ae528706c5c145cc9364dfed4a58a4cafd09319f88013a"),
+    "y0-z0-alpha-0.5": (dict(y0=-3.0, z0=-0.75), 11, [0, 1, 2],
+                        "12ceeab820ee348ce6d784c2390b382138bacc2959dbec55a3a7bb037c3268b2"),
+    "explosive": (dict(n=300, kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE),
+                  7, [0, 1, 2],
+                  "8c535511f12882ba4838de56f497ec3c3f7dd85dfd006ccf0c6c0ed00a487660"),
+    "one-path-odd-n": (dict(n=17), 3, [4],
+                       "3276cc8e78424586a172a9bda0d5cf2cba65ce4bcf4b47c7438d8160b9907de2"),
+    "max-base-and-stream": (dict(), 2**64 - 1, [2**64 - 1],
+                            "c1fe73feb0ade05b87dc7810e8b80772a2105d28b32e754058586650e35c1dbc"),
+    "streams-out-of-order": (dict(), 11, [9, 0, 5],
+                             "cbbeebdb556acb7a4e356519997d3b956fbea2aa2c09bceeedab3b33a5483267"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_batch_output_digest(self, case):
+        kw, base, streams, digest = GOLDEN_CASES[case]
+        arrays = simulate_batch(stat_params(**kw), base, streams)
+        got = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
+        assert got.hexdigest() == digest
+
+
+class TestMemory:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_traced_peak_stays_near_five_arrays(self, alpha):
+        # y, sigma2, u, eps and eta are the five (B, n)-sized arrays.  One
+        # more, such as a transposed working copy, would cost the benchmark
+        # more than its 5% RSS bound.  tracemalloc counts allocations, not
+        # touched pages, so it cannot see eta being filled in place.
+        B, n = 500, 1000
+        p = stat_params(alpha=alpha, n=n)
+        tracemalloc.start()
+        try:
+            simulate_batch(p, 5, np.arange(B, dtype=np.uint64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * 8 * B * (n + 1)

@@ -30,9 +30,20 @@ def stat_params(**kw):
 
 class TestSequenceSpec:
     def test_parse_label_roundtrip(self):
-        for text in ["const:3", "log", "pow:0.25", "lin"]:
+        for text in ["const:3", "log", "pow:0.25", "pow:0.5", "pow:0.75", "lin"]:
             spec = SequenceSpec.parse(text)
+            assert spec.label() == text
             assert SequenceSpec.parse(spec.label()) == spec
+        assert SequenceSpec.power_of_n(0.123456789).label() == "pow:0.123456789"
+
+    @given(st.one_of(
+        st.floats(min_value=0, max_value=math.inf, exclude_min=True, exclude_max=True)
+        .map(SequenceSpec.constant),
+        st.floats(min_value=0, max_value=1, exclude_min=True).map(SequenceSpec.power_of_n),
+        st.sampled_from([SequenceSpec.log_of_n(), SequenceSpec.linear_n()]),
+    ))
+    def test_label_never_rounds(self, spec):
+        assert SequenceSpec.parse(spec.label()) == spec
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(DomainError):
