@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -78,7 +79,11 @@ def _output(path):
     if not path:
         yield sys.stdout
         return
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    with fh:
         yield fh
 
 
@@ -101,7 +106,7 @@ def cmd_simulate(args) -> int:
     with _output(args.out) as out:
         _write_path_csv(path, out)
     if args.out:
-        with open(args.out + ".meta.json", "w") as fh:
+        with _output(args.out + ".meta.json") as fh:
             json.dump(meta, fh, indent=2)
     return EXIT_OK
 
@@ -121,10 +126,15 @@ def cmd_estimate(args) -> int:
     if data.size != params.n + 1:
         raise DomainError(f"{args.path} has {data.size} rows; --n {params.n} needs {params.n + 1}")
     y, u = data["y"], data["u"][1:]  # u column is empty at t=0
-    ols = ols_rho(y)
-    rho_err = score_rho_error(SimulatedPath(y=y, sigma2=np.ones_like(y), u=u))
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(u))):  # genfromtxt reads "abc" as NaN
+        raise DomainError(f"{args.path} has a y or u value that is not a finite number")
     pivot = pivot_T if params.regime is Regime.NEAR_STATIONARY else pivot_S
-    piv = pivot(ols, params, rho_error=rho_err)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results exit 4 below
+        ols = ols_rho(y)
+        rho_err = score_rho_error(SimulatedPath(y=y, sigma2=np.ones_like(y), u=u))
+        piv = pivot(ols, params, rho_error=rho_err)
+    if not (math.isfinite(ols.rho_hat) and math.isfinite(piv.value)):
+        raise NumericOverflowError(f"the sums over {args.path} overflow: rho_hat = {ols.rho_hat}")
     report = {
         "rho_hat": ols.rho_hat,
         "pivot": {"kind": piv.kind, "value": piv.value},
@@ -173,6 +183,8 @@ def cmd_hist(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.seed < 2**64 - 2:  # seed + 2 is the wn_vn DGP base below
+        raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {args.seed}")
     checks = oracles.run_moment_suite(draws=args.draws, seed=args.seed)
     reports = [c.as_dict() for c in checks]
 

@@ -96,25 +96,26 @@ def simulate_batch(
     y = np.empty((B, n + 1))
     sigma2 = np.empty((B, n + 1))
     u = np.empty((B, n))
-    # Drawn after the outputs are allocated: the reverse order left the peak
-    # RSS of repeated `dl2u verify` calls 2 MB (1.5%) higher.
-    eps, eta = draw_innovations(params, base, streams)
+    # Huge alpha, z0 or rho_n make inf or NaN below; y's finiteness is checked at the end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Drawn after the outputs are allocated: the reverse order left the peak
+        # RSS of repeated `dl2u verify` calls 2 MB (1.5%) higher.
+        eps, eta = draw_innovations(params, base, streams)
 
-    # Only z and y are true recurrences; each step is one multiply and one
-    # add per element, in the same order as z = phi z + eta, y = rho y + u.
-    # z runs in sigma2's columns and is exponentiated there afterwards.
-    y[:, 0] = params.y0
-    if params.alpha > 0:
-        sigma2[:, 0] = params.z0
-        for t in range(n):
-            np.multiply(sigma2[:, t], phi, out=sigma2[:, t + 1])
-            sigma2[:, t + 1] += eta[:, t]
-    else:  # eta = 0, so every path shares one z; "+ 0.0" is its eta term
-        z = [params.z0]
-        for t in range(n):
-            z.append(phi * z[t] + 0.0)
-        sigma2[:] = z
-    with np.errstate(over="ignore"):  # finiteness is checked explicitly below
+        # Only z and y are true recurrences; each step is one multiply and one
+        # add per element, in the same order as z = phi z + eta, y = rho y + u.
+        # z runs in sigma2's columns and is exponentiated there afterwards.
+        y[:, 0] = params.y0
+        if params.alpha > 0:
+            sigma2[:, 0] = params.z0
+            for t in range(n):
+                np.multiply(sigma2[:, t], phi, out=sigma2[:, t + 1])
+                sigma2[:, t + 1] += eta[:, t]
+        else:  # eta = 0, so every path shares one z; "+ 0.0" is its eta term
+            z = [params.z0]
+            for t in range(n):
+                z.append(phi * z[t] + 0.0)
+            sigma2[:] = z
         np.exp(sigma2, out=sigma2)
         np.sqrt(sigma2[:, 1:], out=u)
         u *= eps

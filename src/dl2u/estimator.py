@@ -3,9 +3,9 @@
 The near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) targets N(0, 2c);
 the explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) targets the
 standard Cauchy.  Explosive powers are always combined in log-space.
-`montecarlo.replication_pivots` shares the normalizations and overflow
-check but not the arithmetic: einsum and np.exp round differently from BLAS
-dot products and math.exp, and the bits of both sides are pinned.
+This module owns the pivot formula: `pivots` forms every table pivot.  The
+scalar `pivot_T`/`pivot_S` keep BLAS dot products and math.exp, which round
+differently, only because the output of `dl2u estimate` is pinned.
 
 For strongly explosive roots the centered error rho_hat - rho_n is of
 order rho_n^{-n}, far below the rounding error of rho_hat itself, so the
@@ -32,9 +32,7 @@ __all__ = [
     "target_law",
     "ols_rho",
     "score_rho_error",
-    "stationary_scale",
-    "log_explosive_scale",
-    "check_explosive_overflow",
+    "pivots",
     "pivot_T",
     "pivot_S",
     "sign_flip",
@@ -96,14 +94,17 @@ def target_law(params: ModelParams) -> TargetLaw:
     return TargetLaw.standard_cauchy()
 
 
-def stationary_scale(params: ModelParams) -> float:
+def _stationary_scale(params: ModelParams) -> float:
     """sqrt(n k_n), the near-stationary pivot's normalization."""
     if params.regime is not Regime.NEAR_STATIONARY:
         raise DomainError("the near-stationary pivot requires the near-stationary regime")
-    return math.sqrt(params.n * eval_sequence(params.kn, params.n))
+    n_kn = params.n * eval_sequence(params.kn, params.n)
+    if n_kn == math.inf:
+        raise NumericOverflowError("near-stationary scale overflow: n k_n exceeds the float range")
+    return math.sqrt(n_kn)
 
 
-def log_explosive_scale(params: ModelParams) -> tuple[float, float]:
+def _log_explosive_scale(params: ModelParams) -> tuple[float, float]:
     """(log(rho_n^n k_n / (2c)), n log rho_n) of the explosive regime."""
     if params.regime is not Regime.MILDLY_EXPLOSIVE:
         raise DomainError("the explosive pivot requires the mildly explosive regime")
@@ -114,33 +115,48 @@ def log_explosive_scale(params: ModelParams) -> tuple[float, float]:
     return n_log_rho + math.log(kn) - math.log(2.0 * params.c), n_log_rho
 
 
-def check_explosive_overflow(log_mag, n_log_rho: float, what: str) -> None:
+def _check_explosive_overflow(log_mag, n_log_rho: float, what: str) -> None:
     """Raise NumericOverflowError if any log-magnitude exceeds log(DBL_MAX)."""
     if np.any(log_mag > _LOG_DBL_MAX):
         raise NumericOverflowError(f"{what} overflow: n log rho_n = {n_log_rho:g}")
 
 
-def _rescale(value: float, log_factor: float, n_log_rho: float, what: str) -> float:
-    """value * exp(log_factor), formed in log-space with scalar libm calls."""
-    if value == 0.0:
-        return 0.0
-    log_mag = math.log(abs(value)) + log_factor
-    check_explosive_overflow(log_mag, n_log_rho, what)
-    return math.copysign(math.exp(log_mag), value)
+def _log_rescale(value, log_factor: float, n_log_rho: float, what: str):
+    """value * exp(log_factor) elementwise, formed in log-space with numpy."""
+    with np.errstate(divide="ignore"):  # a zero value maps to 0
+        log_mag = np.log(np.abs(value)) + log_factor
+    _check_explosive_overflow(log_mag, n_log_rho, what)
+    return np.sign(value) * np.exp(log_mag)
+
+
+def pivots(params: ModelParams, y, u) -> np.ndarray:
+    """Score-form pivots of paths y (B, n+1), u (B, n); one row replays a table pivot."""
+    lag = y[:, :-1]
+    den = np.einsum("ij,ij->i", lag, lag)
+    score = np.einsum("ij,ij->i", lag, u)
+    diff = score / den
+    if params.regime is Regime.NEAR_STATIONARY:
+        return _stationary_scale(params) * diff
+    log_scale, n_log_rho = _log_explosive_scale(params)
+    return _log_rescale(diff, log_scale, n_log_rho, "explosive pivot")
 
 
 def pivot_T(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
     """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c)."""
-    scale = stationary_scale(params)
+    scale = _stationary_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
     return PivotValue(kind="T", value=scale * diff, target=target_law(params))
 
 
 def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
     """Explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) -> Cauchy(0,1)."""
-    log_scale, n_log_rho = log_explosive_scale(params)
+    log_scale, n_log_rho = _log_explosive_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    value = _rescale(diff, log_scale, n_log_rho, "explosive pivot")
+    value = 0.0
+    if diff != 0.0:  # scalar libm calls, as the pinned `dl2u estimate` output was formed
+        log_mag = math.log(abs(diff)) + log_scale
+        _check_explosive_overflow(log_mag, n_log_rho, "explosive pivot")
+        value = math.copysign(math.exp(log_mag), diff)
     return PivotValue(kind="S", value=value, target=target_law(params))
 
 
@@ -162,23 +178,21 @@ def normalized_sum_squares(y, params: ModelParams, vol: VolatilityScales):
         return np.exp(np.log(ss) - math.log(params.n) - math.log(kn) - vol.log_m_n)
 
 
-def explosive_pair(
-    path: SimulatedPath, params: ModelParams, vol: VolatilityScales
-) -> tuple[float, float]:
+def explosive_pair(y, u, params: ModelParams, vol: VolatilityScales):
     """Normalized (score, sum-of-squares) pair of the explosive regime.
 
-    Returns (rho^-n sum y_{t-1} u_t / (l_n k_n),
-             rho^-2n sum y_{t-1}^2 / (l_n k_n^2)),
+    Along the last axis of y = (y_0..y_n) and u = (u_1..u_n), returns
+    (rho^-n sum y_{t-1} u_t / (l_n k_n), rho^-2n sum y_{t-1}^2 / (l_n k_n^2)),
     whose joint limit is (WV, V^2) with W, V independent N(0, 1/(2c)).
     The squared sum runs over the lagged series so that the ratio of the
     two coordinates reproduces the explosive pivot identity exactly.
     """
-    _, n_log_rho = log_explosive_scale(params)
+    _, n_log_rho = _log_explosive_scale(params)
     log_kn = math.log(eval_sequence(params.kn, params.n))
-    lag = path.y[:-1]
-    score = float(lag @ path.u)
-    ssq = float(lag @ lag)
-    first = _rescale(score, -n_log_rho - vol.log_l_n - log_kn, n_log_rho, "explosive pair")
-    second = _rescale(ssq, -2.0 * n_log_rho - vol.log_l_n - 2.0 * log_kn, n_log_rho,
-                      "explosive pair")
+    lag = np.asarray(y)[..., :-1]
+    score = np.einsum("...i,...i->...", lag, u)
+    ssq = np.einsum("...i,...i->...", lag, lag)
+    first = _log_rescale(score, -n_log_rho - vol.log_l_n - log_kn, n_log_rho, "explosive pair")
+    second = _log_rescale(ssq, -2.0 * n_log_rho - vol.log_l_n - 2.0 * log_kn, n_log_rho,
+                          "explosive pair")
     return first, second

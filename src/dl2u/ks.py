@@ -55,10 +55,11 @@ def cdf(law: TargetLaw, x):
 def density(law: TargetLaw, x):
     """Density of the target law, vectorized over x."""
     x = np.asarray(x, dtype=float)
-    if law.kind == "normal":
-        v = law.variance
-        return np.exp(-0.5 * x * x / v) / math.sqrt(2.0 * math.pi * v)
-    return 1.0 / (np.pi * (1.0 + x * x))
+    with np.errstate(over="ignore"):  # x * x = inf gives the right density, 0
+        if law.kind == "normal":
+            v = law.variance
+            return np.exp(-0.5 * x * x / v) / math.sqrt(2.0 * math.pi * v)
+        return 1.0 / (np.pi * (1.0 + x * x))
 
 
 def ks_statistic(sample, law: TargetLaw) -> float:

@@ -129,6 +129,9 @@ class ModelParams:
     z0: float = 0.0
 
     def __post_init__(self):
+        for name in ("c", "d", "alpha", "y0", "z0"):
+            if not math.isfinite(getattr(self, name)):  # NaN and inf pass the range checks below
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c < 0:
             raise DomainError("c must be nonnegative")
         if self.d <= 0:

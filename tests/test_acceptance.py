@@ -17,9 +17,9 @@ from scipy.special import ndtri
 from dl2u.dgp import RngSeed, simulate_path
 from dl2u.estimator import explosive_pair, ols_rho, pivot_S, score_rho_error, sign_flip
 from dl2u.ks import TargetLaw, cdf, ks_statistic, ks_test
-from dl2u.montecarlo import ExperimentSpec, run_replication, run_table
+from dl2u.montecarlo import ExperimentSpec, run_replication, run_table, table_params
 from dl2u.oracles import check_eq6_convergence, check_wnvn, run_moment_suite
-from dl2u.sequences import ModelParams, Regime, SequenceSpec, scales
+from dl2u.sequences import SequenceSpec, scales
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -92,10 +92,8 @@ def _panel_pass_count(params, repeats=100):
 
 
 def test_criterion_5_histogram_panels():
-    left = ModelParams(c=1.0, d=1.0, alpha=0.5, n=1000,
-                       kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY)
-    right = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                        kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
+    left = table_params("2b", SequenceSpec.power_of_n(0.25))
+    right = table_params("2a", SequenceSpec.power_of_n(0.5))
     left_passes = _panel_pass_count(left)
     right_passes = _panel_pass_count(right)
     ok = left_passes >= 85 and right_passes >= 85
@@ -119,11 +117,7 @@ def test_criterion_6_moment_oracles():
 
 
 def test_criterion_7_sum_of_squares_convergence():
-    grid = [
-        ModelParams(c=1.0, d=1.0, alpha=0.0, n=n,
-                    kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY)
-        for n in (10**3, 10**5)
-    ]
+    grid = [table_params("1a", SequenceSpec.power_of_n(0.25), n) for n in (10**3, 10**5)]
     result = check_eq6_convergence(grid, seed=11)
     entries = result["grid"]
     detail = "; ".join(f"n={e['n']}: |err|={e['abs_error']:.4f}" for e in entries)
@@ -131,8 +125,7 @@ def test_criterion_7_sum_of_squares_convergence():
 
 
 def test_criterion_8_wn_vn_limit_pair():
-    params = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                         kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
+    params = table_params("2a", SequenceSpec.power_of_n(0.5))
     result = check_wnvn(params, seed=13)
     detail = "; ".join(
         f"{c['name']}={c['value']:.4f} (target {c['target']:.2f}, z={c['z']:.2f})"
@@ -154,10 +147,9 @@ def test_criterion_9_exact_invariants():
     if abs(ols_rho(3.7 * y).rho_hat / ols_rho(y).rho_hat - 1.0) > 1e-12:
         failures.append("OLS scale invariance")
 
-    params = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                         kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
+    params = table_params("2a", SequenceSpec.power_of_n(0.5))
     path = simulate_path(params, RngSeed(21, 0))
-    first, second = explosive_pair(path, params, scales(params))
+    first, second = explosive_pair(path.y, path.u, params, scales(params))
     pivot = pivot_S(ols_rho(path.y), params, rho_error=score_rho_error(path)).value
     if abs(first / second / pivot - 1.0) > 1e-10:
         failures.append("explosive ratio identity")

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dl2u.cli import EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, build_parser, main
+from dl2u import oracles
+from dl2u.cli import (
+    EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, build_parser, main,
+)
 
 
 def run(capsys, *argv):
@@ -135,12 +141,35 @@ class TestVerify:
         assert "at least 100000" in err
 
 
+def main_keeping_contract(argv):
+    """(exit code, stderr) of `main(argv)`, asserting the CLI's output contract.
+
+    No Python warning may be printed, an escaping exception would be a
+    traceback, and a domain error is exactly one `domain error:` line.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert [str(w.message) for w in caught] == []
+    if code == EXIT_DOMAIN:
+        assert err.getvalue().startswith("domain error: ") and err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
 # estimate inputs that break its contract; short.csv is a path of n = 3
 BAD_CSVS = {
     "ab.csv": "a,b\n1,2\n3,4\n",
     "empty.csv": "",
     "blank.csv": "\n\n",
     "short.csv": "t,y,sigma2,u\n0,0,1,\n1,0.5,1,0.5\n2,1,1,0.75\n3,1,1,0.25\n",
+    "abc.csv": "t,y,sigma2,u\n0,0,1,\n1,abc,1,0.5\n2,1,1,0.75\n3,1,1,0.25\n",
+    "inf.csv": "t,y,sigma2,u\n0,0,1,\n1,0.5,1,0.5\n2,1,1,inf\n3,1,1,0.25\n",
+    "huge.csv": "t,y,sigma2,u\n0,1e200,1,\n1,1e200,1,0.5\n2,1e200,1,0.75\n3,1e200,1,0.25\n",
 }
 
 
@@ -162,30 +191,131 @@ class TestParser:
         (["simulate", "--n", "50", "--kn", "const:"], None, EXIT_DOMAIN, "'const:'"),
         (["simulate", "--n", "50", "--kn", "pow:abc"], None, EXIT_DOMAIN, "'pow:abc'"),
         (["simulate", "--n", "50", "--kn", "log:5"], None, EXIT_DOMAIN, "takes no parameter"),
+        (["simulate", "--n", "50", "--alpha", "nan"], None, EXIT_DOMAIN, "alpha must be finite"),
+        (["simulate", "--n", "50", "--c", "nan"], None, EXIT_DOMAIN, "c must be finite"),
+        (["simulate", "--n", "50", "--d", "nan"], None, EXIT_DOMAIN, "d must be finite"),
+        (["simulate", "--n", "50", "--y0", "nan"], None, EXIT_DOMAIN, "y0 must be finite"),
+        (["simulate", "--n", "50", "--z0=-inf"], None, EXIT_DOMAIN, "z0 must be finite"),
+        (["estimate", "abc.csv", "--n", "3"], None, EXIT_DOMAIN, "abc.csv has a y or u value"),
+        (["estimate", "inf.csv", "--n", "3"], None, EXIT_DOMAIN, "inf.csv has a y or u value"),
+        (["simulate", "--n", "50", "--out", "/nonexistent/dir/x"], None, EXIT_DOMAIN,
+         "cannot write /nonexistent/dir/x"),
+        (["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n-explosive", "50",
+          "--out", "/nonexistent/dir/x"], None, EXIT_DOMAIN, "cannot write /nonexistent/dir/x"),
+        (["hist", "--n", "50", "--paths", "20", "--out", "/nonexistent/dir/x"], None,
+         EXIT_DOMAIN, "cannot write /nonexistent/dir/x"),
+        (["verify", "--seed", "-1"], None, EXIT_DOMAIN, "verify needs --seed"),
+        (["verify", "--seed", str(2**64 - 2)], None, EXIT_DOMAIN, "verify needs --seed"),
+        (["hist", "--n", "16", "--kn", "const:1e300", "--paths", "1"], None, EXIT_DOMAIN,
+         "cannot bin the pivots"),
+        (["simulate", "--n", "50", "--alpha", "1e300"], None, EXIT_OVERFLOW, "y overflowed"),
+        (["estimate", "huge.csv", "--n", "3"], None, EXIT_OVERFLOW, "huge.csv overflow"),
+        (["hist", "--n", "50", "--kn", "const:1e308"], None, EXIT_OVERFLOW, "n k_n"),
+        # pivots near 1e155, whose squares in the Cauchy density overflow
+        (["hist", "--panel", "right", "--n", "16", "--kn", "const:1.8845425674463404e+155",
+          "--paths", "4"], None, EXIT_OK, ""),
     ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed",
             "csv-without-y-u", "empty-csv", "blank-csv", "csv-length-not-n", "kn-const-no-value",
-            "kn-pow-not-a-number", "kn-log-with-value"])
+            "kn-pow-not-a-number", "kn-log-with-value", "alpha-nan", "c-nan", "d-nan", "y0-nan",
+            "z0-minus-inf", "csv-y-not-a-number", "csv-u-infinite", "simulate-out-missing-dir",
+            "table-out-missing-dir", "hist-out-missing-dir", "verify-negative-seed",
+            "verify-wnvn-base-too-large", "hist-one-huge-pivot", "simulate-huge-alpha",
+            "csv-squares-overflow", "near-stationary-scale-overflow",
+            "hist-huge-pivots-no-warning"])
     def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
-                                      tmp_path, monkeypatch, capsys):
+                                      tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_CSVS.items():
             (tmp_path / name).write_text(text)
         if env_seed is not None:
             monkeypatch.setenv("DL2U_SEED", env_seed)
-        with warnings.catch_warnings(record=True) as caught:  # a CLI prints them to stderr
-            warnings.simplefilter("always")
-            try:
-                got = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                got = exc.code
-        err = capsys.readouterr().err
+        got, err = main_keeping_contract(argv)
         assert got == code
         assert message in err
-        assert [str(w.message) for w in caught] == []
-        if code == EXIT_DOMAIN:
-            assert err.startswith("domain error: ") and err.count("\n") == 1
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("DL2U_SEED", "424242")
         args = build_parser().parse_args(["table", "--id", "1a"])
         assert args.seed == 424242
+
+
+# --- the exit-code contract over generated argument vectors -------------------
+
+def _either(good, wild):
+    """Half the draws from each: a union would give every branch of `wild` a good one's share."""
+    return st.booleans().flatmap(lambda bad: wild if bad else good)
+
+
+WILD = st.floats(allow_nan=True, allow_infinity=True)
+VALUES = _either(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1e300]), WILD).map(repr)
+SEEDS = _either(st.integers(0, 2**64 - 1), st.integers(max_value=-1)
+                | st.integers(min_value=2**64, max_value=2**70))
+SPECS = _either(st.sampled_from(["log", "lin", "pow:0.25", "pow:0.5", "const:3"]), st.one_of(
+    st.sampled_from(["const:", "log:5", "pow:abc", "bogus"]),
+    VALUES.map(lambda v: f"const:{v}"), VALUES.map(lambda v: f"pow:{v}")))
+PATHS = _either(st.integers(1, 20), st.integers(-1, 0))
+SIZES = _either(st.integers(16, 60), st.integers(-3, 15))  # 16 is the least admissible n
+# n is always given, to keep paths short; any other flag may keep its default (None)
+MODEL = dict(n=SIZES, **{name: st.none() | s for name, s in dict(
+    c=VALUES, d=VALUES, alpha=VALUES, kn=SPECS, rn=SPECS,
+    regime=st.sampled_from(["stat", "expl"]), y0=VALUES, z0=VALUES).items()})
+
+
+def _flags(draw, **strategies):
+    """--name=value flags; the = form keeps values such as -inf from reading as options."""
+    values = {name: draw(s) for name, s in strategies.items()}
+    return [f"--{name.replace('_', '-')}={v}" for name, v in values.items() if v is not None]
+
+
+def _path_csv(draw, n):
+    """A path CSV of n + 1 rows with at most one cell replaced by a wild token."""
+    cells = draw(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=2 * n + 1,
+                          max_size=2 * n + 1))
+    wild = draw(st.none() | st.tuples(st.integers(0, 2 * n), st.one_of(WILD.map(repr),
+                                                                      st.just("abc"))))
+    if wild is not None:
+        cells[wild[0]] = wild[1]
+    rows = [f"0,{cells[0]},1,"] + [f"{t},{cells[t]},1,{cells[n + t]}" for t in range(1, n + 1)]
+    return "t,y,sigma2,u\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def cli_calls(draw, workdir):
+    """(argv, CSV text or None) for one generated call of a subcommand."""
+    out = draw(st.sampled_from([[], ["--out", f"{workdir}/out.txt"],
+                                ["--out", "/nonexistent/dir/x"], ["--out", str(workdir)]]))
+    command = draw(st.sampled_from(["simulate", "estimate", "table", "hist", "verify"]))
+    if command == "simulate":
+        return ["simulate", *_flags(draw, **MODEL, seed=SEEDS, rep=SEEDS), *out], None
+    if command == "estimate":
+        n = draw(st.integers(16, 60))
+        model = dict(MODEL, n=_either(st.just(n), SIZES))
+        return ["estimate", f"{workdir}/path.csv", *_flags(draw, **model)], _path_csv(draw, n)
+    if command == "table":
+        sizes = dict(id=st.sampled_from(["1a", "1b", "2a", "2b", "3c"]), reps=st.integers(-1, 1),
+                     paths=PATHS, n_nearstat=SIZES, n_explosive=SIZES, seed=SEEDS)
+        return ["table", *_flags(draw, **sizes), *out], None
+    if command == "hist":
+        sizes = dict(panel=st.sampled_from(["left", "right"]), n=SIZES, kn=SPECS,
+                     paths=PATHS, bins=_either(st.integers(10, 60), st.integers(0, 9)), seed=SEEDS)
+        return ["hist", *_flags(draw, **sizes), *out], None
+    # verify only with inputs it rejects up front: a full run takes seconds
+    bad_seed = st.one_of(st.integers(max_value=-1), st.integers(2**64 - 2, 2**70))
+    bad = draw(bad_seed.map(lambda s: [f"--seed={s}"]) | st.integers(
+        max_value=oracles.MIN_DRAWS - 1).map(lambda d: [f"--draws={d}"]))
+    return ["verify", *bad], None
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_call_keeps_the_exit_code_contract(workdir, data):
+    argv, csv_text = data.draw(cli_calls(workdir))
+    if csv_text is not None:
+        (workdir / "path.csv").write_text(csv_text)
+    code, _ = main_keeping_contract(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_OVERFLOW, EXIT_VERIFY)

@@ -146,7 +146,7 @@ class TestNormalizedQuantities:
         p = expl_params()
         path = simulate_path(p, RngSeed(4, 0))
         vol = scales(p)
-        first, second = explosive_pair(path, p, vol)
+        first, second = explosive_pair(path.y, path.u, p, vol)
         piv = pivot_S(ols_rho(path.y), p, rho_error=score_rho_error(path))
         assert first / second == pytest.approx(piv.value, rel=1e-10)
 
@@ -154,7 +154,7 @@ class TestNormalizedQuantities:
         p = stat_params()
         path = simulate_path(p, RngSeed(4, 0))
         with pytest.raises(DomainError):
-            explosive_pair(path, p, scales(p))
+            explosive_pair(path.y, path.u, p, scales(p))
 
 
 class TestDegenerateScore:

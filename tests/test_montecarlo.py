@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dl2u.cli import main
 from dl2u.dgp import RngSeed, simulate_path
-from dl2u.errors import DomainError
-from dl2u.estimator import ols_rho, pivot_S, pivot_T, score_rho_error
+from dl2u.errors import DomainError, NumericOverflowError
+from dl2u.estimator import ols_rho, pivot_S, pivot_T, pivots, score_rho_error
 from dl2u.montecarlo import (
     TABLE_IDS,
     ExperimentSpec,
@@ -94,10 +95,46 @@ class TestReplications:
         with pytest.raises(DomainError, match="c > 0"):
             replication_pivots(spec, 0)
 
+    def test_overflow_names_replication_and_exponent(self):
+        spec = stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.constant(1e308)))
+        with pytest.raises(NumericOverflowError, match="replication 2 aborted: .*n k_n"):
+            replication_pivots(spec, 2)
+        params = replace(expl_spec().params, n=10**5, kn=SequenceSpec.log_of_n())
+        y, u = np.zeros((1, params.n + 1)), np.zeros((1, params.n))
+        y[0, 0] = u[0, 0] = 1.0  # centered error 1
+        with pytest.raises(NumericOverflowError, match="explosive pivot overflow: n log rho_n"):
+            pivots(params, y, u)
+
     def test_run_replication_returns_ks_result(self):
         res = run_replication(stat_spec(), 0)
         assert 0 <= res.d_stat <= 1
         assert res.sample_size == 50
+
+
+class TestReplay:
+    """A table pivot replays exactly from its path alone, at a batch of one."""
+
+    @pytest.mark.parametrize("table_id", TABLE_IDS)
+    def test_path_replays_table_pivot(self, table_id):
+        for _, kn in table_kn_rows(table_id):
+            spec = ExperimentSpec(table_params(table_id, kn), seed=17)  # full size, B = 500
+            rep, B = 1, spec.paths_per_test
+            table = replication_pivots(spec, rep)
+            for j in (0, 7, B - 1):
+                path = simulate_path(spec.params, RngSeed(spec.seed, rep * B + j))
+                assert pivots(spec.params, path.y[None], path.u[None])[0] == table[j]
+
+    @pytest.mark.parametrize("table_id, kn", [("1a", "pow:0.25"), ("2a", "pow:0.5")])
+    def test_simulate_csv_replays_table_pivot(self, table_id, kn, tmp_path):
+        spec = ExperimentSpec(table_params(table_id, SequenceSpec.parse(kn)), seed=17)
+        p, rep, j, B = spec.params, 1, 7, spec.paths_per_test
+        out = tmp_path / "path.csv"
+        assert main(["simulate", "--n", str(p.n), "--c", repr(p.c), "--d", repr(p.d),
+                     "--alpha", repr(p.alpha), "--kn", kn, "--regime", p.regime.value,
+                     "--seed", str(spec.seed), "--rep", str(rep * B + j), "--out", str(out)]) == 0
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        y, u = np.ascontiguousarray(data["y"]), np.ascontiguousarray(data["u"][1:])
+        assert pivots(p, y[None], u[None])[0] == replication_pivots(spec, rep)[j]
 
 
 class TestRunExperiment:

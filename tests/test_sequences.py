@@ -97,6 +97,10 @@ class TestModelParams:
         for n in (-1, 0, 2):
             with pytest.raises(DomainError, match="at least 3"):
                 stat_params(n=n)
+        for name in ("c", "d", "alpha", "y0", "z0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    stat_params(**{name: value})
 
 
 class TestRoots:
