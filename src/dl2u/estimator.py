@@ -133,6 +133,9 @@ def pivots(params: ModelParams, y, u) -> np.ndarray:
     """Score-form pivots of paths y (B, n+1), u (B, n); one row replays a table pivot."""
     lag = y[:, :-1]
     den = np.einsum("ij,ij->i", lag, lag)
+    overflowed = ~np.isfinite(den)  # y is finite, but its squares overflow first
+    if overflowed.any():
+        raise NumericOverflowError(f"sum of squared lags overflowed on path {overflowed.argmax()}")
     score = np.einsum("ij,ij->i", lag, u)
     diff = score / den
     if params.regime is Regime.NEAR_STATIONARY:

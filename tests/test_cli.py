@@ -103,6 +103,13 @@ class TestTable:
         assert len(lines) == 7
         assert lines[1].startswith("n^0.1,")
 
+    def test_explosive_sum_of_squares_overflow_exits_4(self):
+        # y stays finite at n log rho_n above 354, but sum y_{t-1}^2 does not
+        code, err = main_keeping_contract(["table", "--id", "1b", "--n-explosive", "3000",
+                                           "--reps", "1", "--paths", "50"])
+        assert code == EXIT_OVERFLOW
+        assert "sum of squared lags" in err
+
 
 class TestHist:
     def test_left_panel_defaults(self, capsys):
@@ -132,6 +139,12 @@ class TestHist:
         assert stdout == ""
         assert len(json.loads(out.read_text())["counts"]) == 20
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_explosive_sum_of_squares_overflow_exits_4(self):
+        code, err = main_keeping_contract(["hist", "--panel", "right", "--kn", "const:0.06",
+                                           "--n", "300"])
+        assert code == EXIT_OVERFLOW
+        assert "sum of squared lags" in err
 
 
 class TestVerify:
