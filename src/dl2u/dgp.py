@@ -9,6 +9,7 @@ independent by construction.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,46 @@ import numpy as np
 from .errors import DomainError, NumericOverflowError
 from .sequences import ModelParams, phi_n, rho_n
 
-__all__ = ["RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch"]
+__all__ = [
+    "RngSeed", "SimulatedPath", "draw_innovations", "release", "simulate_path", "simulate_batch",
+]
 
 _EPS_SERIES = 0
 _ETA_SERIES = 1
 _TILE = 64  # steps per time-major tile of a recurrence
+
+# Batch arrays handed back by their owner (see `release`), for the next batch
+# of the same shape: fresh (B, n) arrays fault in a page per 4 KB, because
+# glibc returns freed ones to the OS.
+_spares: list[np.ndarray] = []
+_spares_lock = threading.Lock()  # callers may simulate batches from several threads
+
+
+def _empty(shape: tuple[int, int]) -> np.ndarray:
+    """np.empty(shape), or a handed-back array of that shape, which leaves the list.
+
+    A shape the list does not hold drops every array in it, so at most one
+    batch's arrays are ever kept.
+    """
+    with _spares_lock:
+        for i, spare in enumerate(_spares):
+            if spare.shape == shape:
+                return _spares.pop(i)
+        _spares.clear()
+    return np.empty(shape)
+
+
+def release(*arrays: np.ndarray) -> None:
+    """Hand back batch arrays that the caller will no longer read or write.
+
+    The next batch of the same shape overwrites them.  Only writeable
+    arrays that own their memory are kept, so views such as the alpha = 0
+    sigma2 are skipped.
+    """
+    with _spares_lock:
+        for a in arrays:
+            if a.flags.owndata and a.flags.writeable and all(a is not s for s in _spares):
+                _spares.append(a)
 
 
 @dataclass(frozen=True)
@@ -44,17 +80,20 @@ def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarra
     (base, streams[j]) started at counter s << 192, so disjoint series can
     never overlap.  One generator is re-keyed per row and series rather
     than rebuilt: a fresh key, counter and empty buffer give the same bits.
+    At alpha = 0, eta is a read-only broadcast view of 0.0.
     """
     RngSeed(base)  # validates the 64-bit range
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    eps = np.empty((B, n))
-    eta = np.zeros((B, n))  # unwritten at alpha = 0: filling 16 MB of it cost +15.3 MB RSS
+    eps = _empty((B, n))
     series = [(_EPS_SERIES, eps)]
     if params.alpha > 0:
+        eta = _empty((B, n))
         series.append((_ETA_SERIES, eta))
+    else:
+        eta = np.broadcast_to(0.0, (B, n))
     for j, stream in enumerate(streams.tolist()):
         for counter_hi, out in series:
             bitgen.state = {
@@ -90,18 +129,20 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
     Runs time-major over tiles of _TILE steps in contiguous (T+1, B) and
     (T, B) buffers, so each step is two ufunc calls over contiguous rows
     rather than strided columns; every element sees the same multiply and
-    add, in the same order, as the column loop.
+    add, in the same order, as the column loop.  The row views and the
+    float64 coefficient are built once, not per step.
     """
     B, n = shocks.shape
     xt = np.empty((_TILE + 1, B))
     st = np.empty((_TILE, B))
+    x_rows, shock_rows, coef = list(xt), list(st), np.float64(coef)
     xt[0] = x[:, 0]
     for t0 in range(0, n, _TILE):
         T = min(_TILE, n - t0)
         st[:T] = shocks[:, t0 : t0 + T].T
         for t in range(T):
-            np.multiply(xt[t], coef, out=xt[t + 1])
-            xt[t + 1] += st[t]
+            np.multiply(x_rows[t], coef, out=x_rows[t + 1])
+            np.add(x_rows[t + 1], shock_rows[t], out=x_rows[t + 1])
         x[:, t0 + 1 : t0 + T + 1] = xt[1 : T + 1].T
         xt[0] = xt[T]
 
@@ -115,6 +156,8 @@ def simulate_batch(
     is the path for RngSeed(base, streams[j]); single-path and batched
     calls produce bit-identical values.  At alpha = 0 every path has the
     same volatility, and sigma2 is a read-only broadcast view of one row.
+    A caller that is done with the three arrays may hand them back with
+    `release`, for the next batch of the same shape to reuse.
     """
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
@@ -123,23 +166,22 @@ def simulate_batch(
 
     # Allocated before the draws: the reverse order left the peak RSS of
     # repeated `dl2u verify` calls 2 MB (1.5%) higher.
-    y = np.empty((B, n + 1))
+    y = _empty((B, n + 1))
     y[:, 0] = params.y0
     if params.alpha > 0:
-        sigma2 = np.empty((B, n + 1))
+        sigma2 = _empty((B, n + 1))
         sigma2[:, 0] = params.z0
     # Huge alpha, z0 or rho_n make inf or NaN below; y's finiteness is checked at the end.
     with np.errstate(over="ignore", invalid="ignore"):
         # z = phi z + eta and y = rho y + u are the only recurrences; z runs
         # in sigma2 and is exponentiated there.  u is formed in eps's memory
         # as eps * sqrt(sigma2), which is bitwise sqrt(sigma2) * eps.
+        eps, eta = draw_innovations(params, base, streams)
         if params.alpha > 0:
-            eps, eta = draw_innovations(params, base, streams)
             _recur(sigma2, eta, phi)
             np.exp(sigma2, out=sigma2)
             vol = np.sqrt(sigma2[:, 1:], out=eta)
         else:  # eta = 0, so every path shares one z; "+ 0.0" is its eta term
-            eps = draw_innovations(params, base, streams)[0]
             z = [params.z0]
             for t in range(n):
                 z.append(phi * z[t] + 0.0)
@@ -148,6 +190,7 @@ def simulate_batch(
             vol = np.sqrt(exp_z[1:])
         u = eps
         u *= vol
+        release(eta)  # the scratch sqrt(sigma2); skipped as a view at alpha = 0
         _recur(y, u, rho)
 
     if not np.all(np.isfinite(y)):

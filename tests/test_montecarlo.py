@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dl2u
+from dl2u import dgp
 from dl2u.cli import main
-from dl2u.dgp import RngSeed, simulate_path
+from dl2u.dgp import RngSeed, simulate_batch, simulate_path
 from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.estimator import ols_rho, pivot_S, pivot_T, pivots, score_rho_error
 from dl2u.montecarlo import (
@@ -135,6 +142,96 @@ class TestReplay:
         data = np.genfromtxt(out, delimiter=",", names=True)
         y, u = np.ascontiguousarray(data["y"]), np.ascontiguousarray(data["u"][1:])
         assert pivots(p, y[None], u[None])[0] == replication_pivots(spec, rep)[j]
+
+
+def table_spec(table_id, row, replications=2):
+    """A full-size (B = 500) spec of one table row."""
+    kn = table_kn_rows(table_id)[row][1]
+    return ExperimentSpec(table_params(table_id, kn), replications=replications, seed=row)
+
+
+# Prints the pivots of replications 0 and 1 of each (table, row) argument in a
+# process that never hands an array back.
+FRESH_PIVOTS = """
+import sys
+import numpy as np
+from dl2u import dgp, montecarlo as mc
+dgp.release = lambda *arrays: None
+for cell in sys.argv[1:]:
+    table_id, row = cell.split("/")
+    spec = mc.ExperimentSpec(mc.table_params(table_id, mc.table_kn_rows(table_id)[int(row)][1]),
+                             replications=2, seed=int(row))
+    for rep in range(2):
+        print(mc.replication_pivots(spec, rep).tobytes().hex())
+"""
+
+
+class TestReuse:
+    """replication_pivots hands its batch arrays back to dgp for the next batch."""
+
+    def test_held_batch_is_never_reused(self):
+        spec = table_spec("2a", 0, replications=4)
+        streams = np.arange(spec.paths_per_test, dtype=np.uint64)
+        held = simulate_batch(spec.params, spec.seed, streams)
+        before = [a.copy() for a in held]
+        for rep in range(4):
+            replication_pivots(spec, rep)
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counters")
+    def test_steady_state_takes_no_page_faults(self):
+        resource = pytest.importorskip("resource")
+        spec = table_spec("1a", 0, replications=6)  # B = 500, n = 1000
+        replication_pivots(spec, 0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for rep in range(1, 6):
+            replication_pivots(spec, rep)
+        # Fresh (B, n) arrays took about 1,000 faults per replication.
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_mixed_shapes_match_fresh_process(self):
+        cells = ["1a/0", "2a/0", "1a/3"]
+        src = str(Path(dl2u.__file__).parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_PIVOTS, *cells], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        # NaN-filled spares of the 1a shapes: an element left unwritten would show.
+        dgp.release(np.full((500, 1001), np.nan), np.full((500, 1000), np.nan))
+        mixed = []
+        for cell in cells:
+            table_id, row = cell.split("/")
+            spec = table_spec(table_id, int(row))
+            mixed += [replication_pivots(spec, rep).tobytes().hex() for rep in range(2)]
+        assert mixed == fresh
+
+    def test_threads_share_the_spares_safely(self):
+        # Two shapes, so the threads' batches also drop each other's spares.
+        specs = [stat_spec(replications=20), expl_spec(replications=20, paths_per_test=30)]
+        want = [[replication_pivots(spec, rep) for rep in range(20)] for spec in specs]
+        got, errors = {}, []
+
+        def work(k):
+            try:
+                spec = specs[k % 2]
+                got[k] = [replication_pivots(spec, rep) for rep in range(20)]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k in range(6):
+            assert all(np.array_equal(a, b) for a, b in zip(got[k], want[k % 2]))
 
 
 class TestRunExperiment:
