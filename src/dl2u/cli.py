@@ -34,7 +34,7 @@ _FLOAT_FMT = "%.17g"
 
 
 def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=montecarlo.N_NEARSTAT)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
@@ -76,7 +76,7 @@ def _params_meta(params: ModelParams) -> dict:
 @contextlib.contextmanager
 def _output(path):
     """Yield `path` opened for writing, or stdout when no path is given."""
-    if not path:
+    if path is None:
         yield sys.stdout
         return
     try:
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     }
     with _output(args.out) as out:
         _write_path_csv(path, out)
-    if args.out:
+    if args.out is not None:
         with _output(args.out + ".meta.json") as fh:
             json.dump(meta, fh, indent=2)
     return EXIT_OK
@@ -168,8 +168,9 @@ _PANELS = {"left": ("2b", "pow:0.25"), "right": ("2a", "pow:0.5")}
 
 def cmd_hist(args) -> int:
     table_id, kn = _PANELS[args.panel]
-    sizes = {"n_nearstat": args.n, "n_explosive": args.n} if args.n else {}
-    params = montecarlo.table_params(table_id, SequenceSpec.parse(args.kn or kn), **sizes)
+    sizes = {} if args.n is None else {"n_nearstat": args.n, "n_explosive": args.n}
+    kn = SequenceSpec.parse(kn if args.kn is None else args.kn)
+    params = montecarlo.table_params(table_id, kn, **sizes)
     spec = montecarlo.ExperimentSpec(
         params=params, paths_per_test=args.paths, replications=1, seed=args.seed
     )
@@ -188,9 +189,10 @@ def cmd_verify(args) -> int:
     checks = oracles.run_moment_suite(draws=args.draws, seed=args.seed)
     reports = [c.as_dict() for c in checks]
 
-    grid = [montecarlo.table_params("1a", SequenceSpec.power_of_n(0.25), n) for n in (1000, 10000)]
+    grid = [montecarlo.table_params("1a", SequenceSpec.power_of_n(0.25), n)
+            for n in (montecarlo.N_NEARSTAT, 10000)]
     eq6 = oracles.check_eq6_convergence(grid, seed=args.seed + 1)
-    wnvn_params = montecarlo.table_params("2a", SequenceSpec.power_of_n(0.5), n_explosive=300)
+    wnvn_params = montecarlo.table_params("2a", SequenceSpec.power_of_n(0.5))
     wnvn = oracles.check_wnvn(wnvn_params, seed=args.seed + 2)
     all_passed = all(r["passed"] for r in reports) and eq6["passed"] and wnvn["passed"]
     report = {"moment_checks": reports, "eq6": eq6, "wn_vn": wnvn, "passed": all_passed}
@@ -227,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce a KS acceptance table")
     p.add_argument("--id", required=True, choices=list(montecarlo.TABLE_IDS))
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--paths", type=int, default=500)
-    p.add_argument("--n-nearstat", type=int, default=1000)
-    p.add_argument("--n-explosive", type=int, default=300)
+    p.add_argument("--reps", type=int, default=montecarlo.REPLICATIONS)
+    p.add_argument("--paths", type=int, default=montecarlo.PATHS_PER_TEST)
+    p.add_argument("--n-nearstat", type=int, default=montecarlo.N_NEARSTAT)
+    p.add_argument("--n-explosive", type=int, default=montecarlo.N_EXPLOSIVE)
     p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", choices=list(_PANELS), default="left")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--kn", default=None)
-    p.add_argument("--paths", type=int, default=500)
+    p.add_argument("--paths", type=int, default=montecarlo.PATHS_PER_TEST)
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", default=None)

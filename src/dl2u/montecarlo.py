@@ -10,6 +10,7 @@ single path, can be regenerated alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,10 @@ __all__ = [
     "ExperimentSummary",
     "TableRow",
     "TABLE_IDS",
+    "N_NEARSTAT",
+    "N_EXPLOSIVE",
+    "PATHS_PER_TEST",
+    "REPLICATIONS",
     "table_params",
     "table_kn_rows",
     "replication_pivots",
@@ -33,16 +38,22 @@ __all__ = [
     "emit_histogram",
 ]
 
+# The paper's design sizes: n per regime, B paths per KS test, R replications.
+N_NEARSTAT = 1000
+N_EXPLOSIVE = 300
+PATHS_PER_TEST = 500
+REPLICATIONS = 100
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One table cell: R replications of B pivots each."""
 
     params: ModelParams
-    paths_per_test: int = 500  # B
-    replications: int = 100  # R
-    alpha_level: float = 0.05
+    paths_per_test: int = PATHS_PER_TEST  # B
+    replications: int = REPLICATIONS  # R
     seed: int = 0
+    alpha_level: ClassVar[float] = 0.05  # KS level a replication is accepted at
 
     def __post_init__(self):
         if self.paths_per_test < 1:
@@ -91,11 +102,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
 
 
 # Table layouts.  The paper's table parameters are only partially stated;
-# the homoskedastic tables use c=1 (near-stationary) / c=0.5 (explosive,
-# n=300) with alpha=0, the SV tables d=1, alpha=0.5.  The "constant" row
+# the homoskedastic tables use c=1 (near-stationary) / c=0.5 (explosive)
+# with alpha=0, the SV tables d=1, alpha=0.5.  The "constant" row
 # value is a calibration choice: k=3 keeps both the variance deficit
 # 2c - c^2/k and the O(1/n) estimator bias small at the default sizes.
-# The explosive tables stop at n=300 to keep rho_n^n representable.
+# The explosive tables stop at N_EXPLOSIVE to keep rho_n^n representable.
 CONSTANT_KN = 3.0
 
 _KN_FULL = [
@@ -134,7 +145,7 @@ def _table(table_id: str) -> tuple:
 
 
 def table_params(
-    table_id: str, kn: SequenceSpec, n_nearstat: int = 1000, n_explosive: int = 300
+    table_id: str, kn: SequenceSpec, n_nearstat: int = N_NEARSTAT, n_explosive: int = N_EXPLOSIVE
 ) -> ModelParams:
     """The model of table `table_id` at persistence k_n, with n set by its regime."""
     c, alpha, regime, _ = _table(table_id)
@@ -157,13 +168,14 @@ def _row_seed(seed: int, row: int) -> int:
 
 def run_table(
     table_id: str,
-    n_nearstat: int = 1000,
-    n_explosive: int = 300,
-    replications: int = 100,
-    paths_per_test: int = 500,
+    n_nearstat: int = N_NEARSTAT,
+    n_explosive: int = N_EXPLOSIVE,
+    replications: int = REPLICATIONS,
+    paths_per_test: int = PATHS_PER_TEST,
     seed: int = 0,
 ) -> list[TableRow]:
     """Reproduce one table: a KS summary per mean-persistence row."""
+    dgp.RngSeed(seed)  # a seed outside [0, 2^64) is an error, not spread modulo 2^64
     rows = []
     for i, (label, kn) in enumerate(table_kn_rows(table_id)):
         params = table_params(table_id, kn, n_nearstat, n_explosive)

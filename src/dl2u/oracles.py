@@ -27,7 +27,6 @@ __all__ = [
     "check_conditional_mean",
     "check_eq6_convergence",
     "check_wnvn",
-    "check_rate_condition",
     "run_moment_suite",
 ]
 
@@ -194,24 +193,6 @@ def check_wnvn(params: ModelParams, seed: int = 606) -> dict:
         "label": "wn_vn",
         "checks": checks,
         "passed": all(abs(c["z"]) <= Z_THRESHOLD for c in checks),
-    }
-
-
-def check_rate_condition(params: ModelParams) -> dict:
-    """Report the rate-separation ratios; >= 0.5 flags a questionable n."""
-    kn = eval_sequence(params.kn, params.n)
-    rn = eval_sequence(params.rn, params.n)
-    a2 = params.alpha**2
-    ratios = {
-        "kn_rn^(a2/4d)/n": kn * rn ** (a2 / (4.0 * params.d)) / params.n,
-        "kn_rn^(a2/d)/n": kn * rn ** (a2 / params.d) / params.n,
-    }
-    flags = {name: value >= 0.5 for name, value in ratios.items()}
-    return {
-        "label": "rate_condition",
-        "ratios": ratios,
-        "flagged": flags,
-        "note": "flagged ratios mean the asymptotic regime is questionable at this n",
     }
 
 

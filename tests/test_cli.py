@@ -227,6 +227,15 @@ class TestParser:
         # pivots near 1e155, whose squares in the Cauchy density overflow
         (["hist", "--panel", "right", "--n", "16", "--kn", "const:1.8845425674463404e+155",
           "--paths", "4"], None, EXIT_OK, ""),
+        # a table seed is checked, not spread modulo 2^64
+        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n-explosive", "50",
+          "--seed", "-1"], None, EXIT_DOMAIN, "64-bit"),
+        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n-explosive", "50",
+          "--seed", str(2**64)], None, EXIT_DOMAIN, "64-bit"),
+        # 0 and "" are values that get validated, not "not given"
+        (["hist", "--panel", "right", "--n", "0"], None, EXIT_DOMAIN, "n must be at least 3"),
+        (["hist", "--kn=", "--paths", "5"], None, EXIT_DOMAIN, "malformed sequence spec ''"),
+        (["simulate", "--n", "20", "--out="], None, EXIT_DOMAIN, "cannot write"),
     ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed",
             "csv-without-y-u", "empty-csv", "blank-csv", "csv-length-not-n", "kn-const-no-value",
             "kn-pow-not-a-number", "kn-log-with-value", "alpha-nan", "c-nan", "d-nan", "y0-nan",
@@ -234,7 +243,8 @@ class TestParser:
             "table-out-missing-dir", "hist-out-missing-dir", "verify-negative-seed",
             "verify-wnvn-base-too-large", "hist-one-huge-pivot", "simulate-huge-alpha",
             "csv-squares-overflow", "near-stationary-scale-overflow",
-            "hist-huge-pivots-no-warning"])
+            "hist-huge-pivots-no-warning", "table-negative-seed", "table-seed-2-to-the-64",
+            "hist-n-zero", "hist-kn-empty", "simulate-out-empty"])
     def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
                                       tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

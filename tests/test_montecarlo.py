@@ -56,6 +56,11 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             stat_spec(replications=0)
 
+    def test_ks_level_is_fixed(self):
+        assert stat_spec().alpha_level == 0.05
+        with pytest.raises(TypeError):
+            stat_spec(alpha_level=0.1)
+
     def test_target_laws(self):
         assert target_law(stat_spec().params).label() == "N(0,2)"
         assert target_law(expl_spec().params).label() == "Cauchy(0,1)"

@@ -10,7 +10,6 @@ from dl2u.oracles import (
     check_eq6_convergence,
     check_fourth_moment,
     check_mean_sigma2,
-    check_rate_condition,
     check_wnvn,
     run_moment_suite,
 )
@@ -104,9 +103,3 @@ class TestConvergenceChecks:
     def test_wnvn_regime_guard(self):
         with pytest.raises(DomainError):
             check_wnvn(stat_params())
-
-    def test_rate_condition_flags_fast_kn(self):
-        slow = check_rate_condition(stat_params(alpha=0.5))
-        fast = check_rate_condition(stat_params(alpha=0.5, kn=SequenceSpec.linear_n()))
-        assert not any(slow["flagged"].values())
-        assert all(fast["flagged"].values())
