@@ -126,13 +126,19 @@ class SimulatedPath:
 def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
     """Fill x[:, 1:] in place with x[:, t+1] = coef * x[:, t] + shocks[:, t].
 
-    Runs time-major over tiles of _TILE steps in contiguous (T+1, B) and
-    (T, B) buffers, so each step is two ufunc calls over contiguous rows
-    rather than strided columns; every element sees the same multiply and
-    add, in the same order, as the column loop.  The row views and the
-    float64 coefficient are built once, not per step.
+    One row loops over Python floats: CPython rounds each multiply and add
+    exactly as np.multiply and np.add do, without their per-call dispatch.
+    More rows run time-major over tiles of _TILE steps in contiguous
+    (T+1, B) and (T, B) buffers, so each step is two ufunc calls over
+    contiguous rows rather than strided columns; every element sees the
+    same multiply and add, in the same order, as the column loop.  The row
+    views and the float64 coefficient are built once, not per step.
     """
     B, n = shocks.shape
+    if B == 1:
+        v, coef = float(x[0, 0]), float(coef)
+        x[0, 1:] = [v := coef * v + s for s in shocks[0].tolist()]
+        return
     xt = np.empty((_TILE + 1, B))
     st = np.empty((_TILE, B))
     x_rows, shock_rows, coef = list(xt), list(st), np.float64(coef)
@@ -168,32 +174,30 @@ def simulate_batch(
     # repeated `dl2u verify` calls 2 MB (1.5%) higher.
     y = _empty((B, n + 1))
     y[:, 0] = params.y0
-    if params.alpha > 0:
-        sigma2 = _empty((B, n + 1))
-        sigma2[:, 0] = params.z0
+    # At alpha = 0, eta = 0 and every path shares one z row, driven by eta's first row.
+    sigma2 = _empty((B, n + 1)) if params.alpha > 0 else np.empty((1, n + 1))
+    sigma2[:, 0] = params.z0
     # Huge alpha, z0 or rho_n make inf or NaN below; y's finiteness is checked at the end.
     with np.errstate(over="ignore", invalid="ignore"):
         # z = phi z + eta and y = rho y + u are the only recurrences; z runs
         # in sigma2 and is exponentiated there.  u is formed in eps's memory
         # as eps * sqrt(sigma2), which is bitwise sqrt(sigma2) * eps.
         eps, eta = draw_innovations(params, base, streams)
+        _recur(sigma2, eta[: len(sigma2)], phi)
+        np.exp(sigma2, out=sigma2)
         if params.alpha > 0:
-            _recur(sigma2, eta, phi)
-            np.exp(sigma2, out=sigma2)
             vol = np.sqrt(sigma2[:, 1:], out=eta)
-        else:  # eta = 0, so every path shares one z; "+ 0.0" is its eta term
-            z = [params.z0]
-            for t in range(n):
-                z.append(phi * z[t] + 0.0)
-            exp_z = np.exp(z)
-            sigma2 = np.broadcast_to(exp_z, (B, n + 1))
-            vol = np.sqrt(exp_z[1:])
+        else:
+            vol = np.sqrt(sigma2[0, 1:])
+            sigma2 = np.broadcast_to(sigma2[0], (B, n + 1))
         u = eps
         u *= vol
         release(eta)  # the scratch sqrt(sigma2); skipped as a view at alpha = 0
         _recur(y, u, rho)
 
-    if not np.all(np.isfinite(y)):
+    # A non-finite y[t] stays non-finite through rho * y[t] + u[t] (0 * inf is
+    # NaN), so the last column decides; the full scan only locates the fault.
+    if not np.all(np.isfinite(y[:, -1])):
         j_bad, t_bad = np.argwhere(~np.isfinite(y))[0]
         raise NumericOverflowError(
             f"y overflowed at index t={t_bad} (seed base={base}, "

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dl2u import oracles
+from dl2u import cli, oracles
 from dl2u.cli import (
-    EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, build_parser, main,
+    EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, _read_path_csv,
+    _write_path_csv, build_parser, main,
 )
+from dl2u.dgp import SimulatedPath
 
 
 def run(capsys, *argv):
@@ -46,6 +48,21 @@ class TestSimulate:
         path = simulate_path(p, RngSeed(7, 0))
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert np.array_equal(data["y"], path.y)  # 17 significant digits
+
+    def test_csv_bytes_match_the_row_loop(self):
+        # the per-row writer that the one-write writer replaced, as the reference
+        def row_loop(path, out):
+            out.write("t,y,sigma2,u\n")
+            for t in range(len(path.y)):
+                u = "%.17g" % path.u[t - 1] if t >= 1 else ""
+                out.write(f"{t},{'%.17g' % path.y[t]},{'%.17g' % path.sigma2[t]},{u}\n")
+
+        cells = np.array([0.0, -0.0, 5e-324, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
+        path = SimulatedPath(y=cells, sigma2=cells[::-1].copy(), u=-cells[1:])
+        got, want = io.StringIO(), io.StringIO()
+        _write_path_csv(path, got)
+        row_loop(path, want)
+        assert got.getvalue() == want.getvalue()
 
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "5")
@@ -261,6 +278,35 @@ class TestParser:
         args = build_parser().parse_args(["table", "--id", "1a"])
         assert args.seed == 424242
 
+    def test_cached_parser_follows_the_seed_env(self, tmp_path, monkeypatch):
+        out = tmp_path / "path.csv"
+        for env_seed in ("5", "6"):
+            monkeypatch.setenv("DL2U_SEED", env_seed)
+            assert main(["simulate", "--n", "20", "--out", str(out)]) == EXIT_OK
+            meta = json.loads((tmp_path / "path.csv.meta.json").read_text())
+            assert meta["seed"]["base"] == int(env_seed)
+
+    def test_malformed_seed_env_after_a_cached_parser(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main_keeping_contract(["simulate", "--n", "20"])[0] == EXIT_OK
+        monkeypatch.setenv("DL2U_SEED", "seven")
+        for argv, code in [
+            (["simulate", "--n", "20"], EXIT_USAGE),
+            (["table", "--id", "2a"], EXIT_USAGE),
+            (["hist"], EXIT_USAGE),
+            (["estimate", "missing.csv"], EXIT_DOMAIN),  # no seed to default
+            (["verify", "--draws", "10"], EXIT_DOMAIN),  # its own default seed
+        ]:
+            assert main_keeping_contract(argv)[0] == code
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        # the benchmark wraps cli.cmd_* after the parser may have been built
+        assert main(["simulate", "--n", "20"]) == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.n) or EXIT_OK)
+        assert main(["simulate", "--n", "21"]) == EXIT_OK
+        assert calls == [21]
+
 
 # --- the exit-code contract over generated argument vectors -------------------
 
@@ -342,3 +388,74 @@ def test_every_call_keeps_the_exit_code_contract(workdir, data):
         (workdir / "path.csv").write_text(csv_text)
     code, _ = main_keeping_contract(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_OVERFLOW, EXIT_VERIFY)
+
+
+# --- the path CSV reader against np.genfromtxt --------------------------------
+
+def _genfromtxt_y_u(path, n):
+    """(y, u) as np.genfromtxt reads them, or None where they are not n + 1 finite values."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except (ValueError, IndexError):  # rows of other lengths; an empty file
+        return None
+    if not {"y", "u"} <= set(data.dtype.names or ()) or data.size != n + 1:
+        return None
+    y, u = data["y"], data["u"][1:]
+    return (y, u) if np.all(np.isfinite(y)) and np.all(np.isfinite(u)) else None
+
+
+CELLS = _either(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                WILD.map(repr) | st.sampled_from(["abc", "", "1_000"]))
+
+
+@st.composite
+def path_csv_texts(draw):
+    """(text, n) of a path CSV as other tools may write it: the columns in any
+    order and with extras, CRLF endings, spaces around cells, blank and `#`
+    comment lines, cells of any kind outside y and u, at most one y or u cell
+    that is not a finite number and at most one row of another length.
+    Comments come after the header: genfromtxt reads one before it as the header."""
+    n = draw(st.integers(16, 30))
+    names = draw(st.permutations(["t", "y", "sigma2", "u", *draw(st.lists(
+        st.sampled_from(["w", "note", "v_2"]), max_size=2, unique=True))]))
+    fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+    rows = [{"t": str(t), "u": "" if t == 0 else fmt(draw(st.floats(-1e3, 1e3))),
+             "y": fmt(draw(st.floats(-1e3, 1e3)))} for t in range(n + 1)]
+    for row in rows:
+        row.update({name: draw(CELLS) for name in names if name not in row})
+    wild = draw(st.none() | st.tuples(st.integers(0, n), st.sampled_from(["y", "u"]),
+                                      WILD.map(repr) | st.just("abc")))
+    if wild is not None:
+        t, name, token = wild
+        rows[t][name] = token
+    ragged = draw(st.none() | st.tuples(st.integers(0, n), st.sampled_from([",", ",9"])))
+    if ragged is not None:
+        t, cells = ragged
+        rows[t][names[-1]] += cells
+    pad = st.sampled_from(["", " ", "  "])
+    lines = [",".join(draw(pad) + name + draw(pad) for name in names)]
+    lines += [",".join(draw(pad) + row[name] + draw(pad) for name in names) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["# note", "#", "#,,,", " # spaced", ""])))
+    lines = [""] * draw(st.integers(0, 2)) + lines + draw(st.lists(pad, max_size=3))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=path_csv_texts(), n_offset=_either(st.just(0), st.integers(-1, 1)))
+def test_reader_matches_genfromtxt(workdir, case, n_offset):
+    text, n = case
+    path = workdir / "reader.csv"
+    path.write_bytes(text.encode())
+    n += n_offset
+    expected = _genfromtxt_y_u(path, n)
+    if expected is None:
+        code, _ = main_keeping_contract(["estimate", str(path), "--n", str(n)])
+        assert code == EXIT_DOMAIN
+        return
+    for got, want in zip(_read_path_csv(str(path), n), expected):
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides  # so dot products sum in the same order

@@ -11,6 +11,9 @@ from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, phi_n, rho_n
 
 
+RNG = np.random.default_rng(20)
+
+
 def stat_params(**kw):
     base = dict(
         c=1.0, d=1.0, alpha=0.5, n=200,
@@ -145,17 +148,55 @@ class TestTiles:
         assert x[:, 1].tolist() == [1.5, 2.5]
 
 
+    # (x0, shocks, coef) of one row; n = 130 spans three tiles of the B > 1 path
+    ONE_ROW_CASES = {
+        "coef-zero": (1.5, RNG.standard_normal(130), 0.0),
+        "coef-negative": (-2.0, RNG.standard_normal(130), -0.97),
+        # the row alternates between -inf and +inf, and the inf shocks meet both
+        "coef-huge-overflows-to-nan": (1.0, np.r_[RNG.standard_normal(10), [np.inf, -np.inf] * 60],
+                                       -1e300),
+        "signed-zero-shocks": (-0.0, np.resize([0.0, -0.0, -0.0], 130), 0.5),
+        "nonzero-x0": (1e10, RNG.standard_normal(130), 1.01),
+        "alpha-0-zero-shock-view": (0.25, np.broadcast_to(0.0, (130,)), 0.999),
+    }
+
+    @pytest.mark.parametrize("case", ONE_ROW_CASES)
+    def test_one_row_loop_matches_tiles_bitwise(self, case):
+        x0, shocks, coef = self.ONE_ROW_CASES[case]
+        one = np.empty((1, 131))
+        one[0, 0] = x0
+        _recur(one, shocks[None], coef)
+        two = np.empty((2, 131))
+        two[:, 0] = x0, 3.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _recur(two, np.stack([shocks, np.ones(130)]), coef)  # B = 2 runs the tiles
+        assert np.array_equal(one[0], two[0], equal_nan=True)
+        assert one[0].tobytes() == two[0].tobytes()  # signed zeros and NaN payloads too
+
+
 class TestOverflow:
+    P = stat_params(c=100.0, n=300, kn=SequenceSpec.constant(1.0), regime=Regime.MILDLY_EXPLOSIVE)
+
     def test_overflow_raises_with_location(self):
-        p = stat_params(
-            c=100.0, n=300, kn=SequenceSpec.constant(1.0),
-            regime=Regime.MILDLY_EXPLOSIVE,
-        )
         streams = np.arange(3, dtype=np.uint64)
-        y, _, _ = column_loop_batch(p, 0, streams)
-        _, t_bad = np.argwhere(~np.isfinite(y))[0]
-        with pytest.raises(NumericOverflowError, match=f"index t={t_bad} "):
-            simulate_batch(p, 0, streams)
+        y, _, _ = column_loop_batch(self.P, 0, streams)
+        j_bad, t_bad = np.argwhere(~np.isfinite(y))[0]
+        assert t_bad < self.P.n  # overflows mid-path, so only the end of the row is seen
+        # the message of the full scan, which the last-column check must keep
+        message = (f"y overflowed at index t={t_bad} (seed base=0, stream={streams[j_bad]}); "
+                   f"n log rho = {self.P.n * np.log(rho_n(self.P)):g}")
+        with pytest.raises(NumericOverflowError) as exc:
+            simulate_batch(self.P, 0, streams)
+        assert str(exc.value) == message
+
+    def test_single_path_raises_as_its_batch_row(self):
+        # the batch names its first failing row, which simulate_path (B = 1) must name alike
+        streams = [5, 9]
+        with pytest.raises(NumericOverflowError) as batch:
+            simulate_batch(self.P, 2, streams)
+        with pytest.raises(NumericOverflowError) as single:
+            simulate_path(self.P, RngSeed(2, streams[0]))
+        assert str(single.value) == str(batch.value)
 
 
 # SHA-256 of simulate_batch's (y, sigma2, u) as <f8 bytes.  Existing seeds
