@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .errors import DomainError
 
@@ -84,18 +84,7 @@ def ks_pvalue(d: float, m: int) -> float:
         raise DomainError("KS distance must lie in [0, 1]")
     if m < 1:
         raise DomainError("sample size must be at least 1")
-    if d == 0.0:
-        return 1.0
-    lam = (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * d
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 1000):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-12:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(kolmogorov((math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * d))
 
 
 @dataclass(frozen=True)

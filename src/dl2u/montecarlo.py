@@ -76,12 +76,10 @@ def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     B = spec.paths_per_test
     streams = np.arange(rep * B, (rep + 1) * B, dtype=np.uint64)
     try:
-        y, sigma2, u = dgp.simulate_batch(spec.params, spec.seed, streams)
-        values = pivots(spec.params, y, u)
+        y, _, u = dgp.simulate_batch(spec.params, spec.seed, streams)
+        return pivots(spec.params, y, u)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"replication {rep} aborted: {exc}") from exc
-    dgp.release(y, sigma2, u)
-    return values
 
 
 def run_replication(spec: ExperimentSpec, rep: int) -> KsResult:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -169,6 +170,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--draws", "10")
         assert code == EXIT_DOMAIN
         assert "at least 100000" in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counters")
+    def test_steady_state_takes_no_page_faults(self, capsys):
+        resource = pytest.importorskip("resource")
+        run(capsys, "verify", "--seed", "1")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(capsys, "verify", "--seed", "1")
+        # Fresh oracle arrays took about 3,000 faults per call.
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def main_keeping_contract(argv):

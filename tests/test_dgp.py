@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dl2u import dgp
-from dl2u.dgp import RngSeed, _recur, draw_innovations, release, simulate_batch, simulate_path
+from dl2u.dgp import RngSeed, _recur, draw_innovations, simulate_batch, simulate_path
 from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, phi_n, rho_n
 
@@ -234,11 +233,9 @@ class TestMemory:
         # The (B, n)-sized arrays are y and eps at alpha = 0 (eta is a view of
         # 0.0 and sigma2 one row), and y, sigma2, eps and eta at alpha > 0 (u
         # is formed in eps, and sqrt(sigma2) in eta).  The recurrence tiles
-        # add 0.13 of an array at n = 1000.  Handed-back arrays would hide
-        # allocations, so none are held.
+        # add 0.13 of an array at n = 1000.
         B, n = 500, 1000
         p = stat_params(alpha=alpha, n=n)
-        dgp._spares.clear()
         tracemalloc.start()
         try:
             simulate_batch(p, 5, np.arange(B, dtype=np.uint64))
@@ -259,25 +256,3 @@ class TestReuse:
             (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
             for name in ("params", "base", "streams")
         ]
-
-    def test_only_owned_writeable_arrays_are_kept(self):
-        p = stat_params(alpha=0.0, n=40)
-        y, sigma2, u = simulate_batch(p, 3, [0, 1, 2])
-        dgp._spares.clear()
-        release(y, sigma2, u, y)  # sigma2 is a broadcast view; y comes back twice
-        assert [id(a) for a in dgp._spares] == [id(y), id(u)]
-
-    def test_handed_back_arrays_are_reused_once(self):
-        p = stat_params(n=40)
-        dgp._spares.clear()
-        first = simulate_batch(p, 3, [0, 1, 2])
-        handed_back = [*dgp._spares, *first]  # simulate_batch's own eta, then (y, sigma2, u)
-        release(*first)
-        second = simulate_batch(p, 3, [0, 1, 2])
-        assert all(any(a is b for b in handed_back) for a in second)
-        assert not any(a is s for a in second for s in dgp._spares)
-
-    def test_other_shape_drops_spares(self):
-        release(*simulate_batch(stat_params(n=40), 3, [0, 1, 2]))
-        simulate_batch(stat_params(n=41), 3, [0, 1, 2])
-        assert {a.shape for a in dgp._spares} <= {(3, 41)}

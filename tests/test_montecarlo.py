@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import dl2u
-from dl2u import dgp
 from dl2u.cli import main
 from dl2u.dgp import RngSeed, simulate_batch, simulate_path
 from dl2u.errors import DomainError, NumericOverflowError
@@ -156,12 +155,10 @@ def table_spec(table_id, row, replications=2):
 
 
 # Prints the pivots of replications 0 and 1 of each (table, row) argument in a
-# process that never hands an array back.
+# fresh process.
 FRESH_PIVOTS = """
 import sys
-import numpy as np
-from dl2u import dgp, montecarlo as mc
-dgp.release = lambda *arrays: None
+from dl2u import montecarlo as mc
 for cell in sys.argv[1:]:
     table_id, row = cell.split("/")
     spec = mc.ExperimentSpec(mc.table_params(table_id, mc.table_kn_rows(table_id)[int(row)][1]),
@@ -172,7 +169,7 @@ for cell in sys.argv[1:]:
 
 
 class TestReuse:
-    """replication_pivots hands its batch arrays back to dgp for the next batch."""
+    """Each batch reuses the memory the allocator keeps from the last one."""
 
     def test_held_batch_is_never_reused(self):
         spec = table_spec("2a", 0, replications=4)
@@ -201,8 +198,9 @@ class TestReuse:
             [sys.executable, "-c", FRESH_PIVOTS, *cells], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": src},
         ).stdout.split()
-        # NaN-filled spares of the 1a shapes: an element left unwritten would show.
-        dgp.release(np.full((500, 1001), np.nan), np.full((500, 1000), np.nan))
+        nan_y, nan_eps = np.full((500, 1001), np.nan), np.full((500, 1000), np.nan)
+        # Freed NaN-filled arrays of the 1a shapes: an element left unwritten would show.
+        del nan_y, nan_eps
         mixed = []
         for cell in cells:
             table_id, row = cell.split("/")
@@ -211,7 +209,7 @@ class TestReuse:
         assert mixed == fresh
 
     def test_threads_share_the_spares_safely(self):
-        # Two shapes, so the threads' batches also drop each other's spares.
+        # Concurrent batches of two shapes match serial ones.
         specs = [stat_spec(replications=20), expl_spec(replications=20, paths_per_test=30)]
         want = [[replication_pivots(spec, rep) for rep in range(20)] for spec in specs]
         got, errors = {}, []
