@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .errors import DomainError
 
@@ -48,6 +47,7 @@ def cdf(law: TargetLaw, x):
     """Distribution function of the target law, vectorized over x."""
     x = np.asarray(x, dtype=float)
     if law.kind == "normal":
+        from scipy.special import ndtr  # lazy: simulate/estimate/hist skip its 25 MB import
         return ndtr(x / math.sqrt(law.variance))
     return 0.5 + np.arctan(x) / np.pi
 
@@ -84,6 +84,7 @@ def ks_pvalue(d: float, m: int) -> float:
         raise DomainError("KS distance must lie in [0, 1]")
     if m < 1:
         raise DomainError("sample size must be at least 1")
+    from scipy.special import kolmogorov  # lazy: simulate/estimate/hist skip its 25 MB import
     return float(kolmogorov((math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * d))
 
 

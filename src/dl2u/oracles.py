@@ -63,8 +63,10 @@ def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], draws: int, se
     """Antithetic draws of z_t = sum_j phi^j eta_{t-j}, z_0 = 0, for each t in steps."""
     if draws < MIN_DRAWS:
         raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     half = draws // 2
+    if alpha == 0:  # z stays zero (its sign aside, which exp drops), so skip the draws
+        return [np.zeros(2 * half) for _ in steps]
+    rng = np.random.Generator(np.random.Philox(key=seed))
     z = np.zeros(half)
     at = {0: z}
     for t in range(1, max(steps) + 1):

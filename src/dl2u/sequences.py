@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -215,6 +214,7 @@ def scales(params: ModelParams) -> VolatilityScales:
     # math.expm1 by 1 ulp at (phi=0.9, t=2), a value that the cross-moment
     # closed form of `dl2u verify` pins.
     A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi2))
+    from scipy.special import logsumexp  # lazy: simulate/estimate/hist skip its 25 MB import
     log_m = float(logsumexp(alpha**2 * A_t) - math.log(n))
     log_l = alpha**2 / (2.0 * (1.0 - phi2))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

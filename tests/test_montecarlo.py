@@ -208,8 +208,7 @@ class TestReuse:
             mixed += [replication_pivots(spec, rep).tobytes().hex() for rep in range(2)]
         assert mixed == fresh
 
-    def test_threads_share_the_spares_safely(self):
-        # Concurrent batches of two shapes match serial ones.
+    def test_concurrent_batches_of_two_shapes_match_serial(self):
         specs = [stat_spec(replications=20), expl_spec(replications=20, paths_per_test=30)]
         want = [[replication_pivots(spec, rep) for rep in range(20)] for spec in specs]
         got, errors = {}, []

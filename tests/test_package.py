@@ -34,13 +34,24 @@ def test_package_imports_resolve():
         assert hasattr(dl2u, name)
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal.lfilter runs the recurrences bit for bit, but importing it
-    # takes `import dl2u.cli` from 0.31 s to 0.9-1.3 s and its peak RSS from
-    # 53 to 103 MB (2 vCPUs, Python 3.11, scipy 1.17), and every CLI call pays that.
-    code = "import sys, dl2u.cli; print('scipy.signal' in sys.modules)"
+def test_inspect_commands_leave_scipy_signal_and_special_out(tmp_path):
+    # Every CLI call is a fresh process that pays its imports. `import dl2u.cli`
+    # alone takes about 0.17 s and 29 MB peak RSS (2 vCPUs, Python 3.11, scipy
+    # 1.17). scipy.special takes that to 0.5 s and 54 MB, so only table, verify
+    # and the oracles import it, on first use. scipy.signal.lfilter runs the
+    # recurrences bit for bit, but its import takes it to 1.5 s and 103 MB.
+    code = f"""
+import contextlib, io, sys
+from dl2u import cli
+out = {str(tmp_path / "path.csv")!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--n", "50", "--out", out]) == 0
+    assert cli.main(["estimate", out, "--n", "50"]) == 0
+    assert cli.main(["hist", "--n", "50", "--paths", "20", "--bins", "10"]) == 0
+print(sorted(m for m in ("scipy.signal", "scipy.special") if m in sys.modules))
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(dl2u.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
