@@ -212,7 +212,7 @@ def cmd_hist(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**64 - 2:  # seed + 2 is the wn_vn DGP base below
         raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {args.seed}")
-    checks = oracles.run_moment_suite(draws=args.draws, seed=args.seed)
+    checks = oracles.run_moment_suite(seed=args.seed)
     reports = [c.as_dict() for c in checks]
 
     grid = [montecarlo.table_params("1a", SequenceSpec.power_of_n(0.25), n)
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--draws", type=int, default=oracles.MIN_DRAWS)
     p.add_argument("--seed", type=int, default=707)
 
     return parser

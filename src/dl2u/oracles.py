@@ -30,7 +30,7 @@ __all__ = [
     "run_moment_suite",
 ]
 
-MIN_DRAWS = 10**5
+DRAWS = 10**5  # draws per moment check, half of them antithetic
 Z_THRESHOLD = 4.0
 EQ6_PATHS = 200  # paths per grid point of check_eq6_convergence
 WNVN_PATHS = 2000  # paths of check_wnvn
@@ -59,11 +59,9 @@ def _check(label, mc, closed, se) -> MomentCheck:
     return MomentCheck(label, float(mc), float(closed), float(se), float(z))
 
 
-def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], draws: int, seed: int) -> list[np.ndarray]:
+def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], seed: int) -> list[np.ndarray]:
     """Antithetic draws of z_t = sum_j phi^j eta_{t-j}, z_0 = 0, for each t in steps."""
-    if draws < MIN_DRAWS:
-        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
-    half = draws // 2
+    half = DRAWS // 2
     if alpha == 0:  # z stays zero (its sign aside, which exp drops), so skip the draws
         return [np.zeros(2 * half) for _ in steps]
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -84,27 +82,27 @@ def _mc_mean(values: np.ndarray) -> tuple[float, float]:
     return mc, se
 
 
-def check_mean_sigma2(alpha, phi, t, draws=MIN_DRAWS, seed=101) -> MomentCheck:
+def check_mean_sigma2(alpha, phi, t, seed=101) -> MomentCheck:
     """E[sigma_t^2] = exp(alpha^2 A_t)."""
-    (z,) = _simulate_z(phi, alpha, (t,), draws, seed)
+    (z,) = _simulate_z(phi, alpha, (t,), seed)
     mc, se = _mc_mean(np.exp(z))
     closed = math.exp(alpha**2 * dispersion(phi, t))
     return _check(f"mean_sigma2(alpha={alpha},phi={phi},t={t})", mc, closed, se)
 
 
-def check_fourth_moment(alpha, phi, t, draws=MIN_DRAWS, seed=202) -> MomentCheck:
+def check_fourth_moment(alpha, phi, t, seed=202) -> MomentCheck:
     """E[sigma_t^4] = exp(2 Var z_t) = exp(4 alpha^2 A_t)."""
-    (z,) = _simulate_z(phi, alpha, (t,), draws, seed)
+    (z,) = _simulate_z(phi, alpha, (t,), seed)
     mc, se = _mc_mean(np.exp(2.0 * z))
     closed = math.exp(4.0 * alpha**2 * dispersion(phi, t))
     return _check(f"fourth_moment(alpha={alpha},phi={phi},t={t})", mc, closed, se)
 
 
-def check_cross_moment(alpha, phi, s, t, draws=MIN_DRAWS, seed=303) -> MomentCheck:
+def check_cross_moment(alpha, phi, s, t, seed=303) -> MomentCheck:
     """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s)."""
     if s > t:
         raise DomainError("cross moment needs s <= t")
-    z_s, z_t = _simulate_z(phi, alpha, (s, t), draws, seed)
+    z_s, z_t = _simulate_z(phi, alpha, (s, t), seed)
     mc, se = _mc_mean(np.exp(z_s + z_t))
     a2 = alpha**2
     closed = math.exp(
@@ -115,9 +113,9 @@ def check_cross_moment(alpha, phi, s, t, draws=MIN_DRAWS, seed=303) -> MomentChe
     return _check(f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})", mc, closed, se)
 
 
-def check_conditional_mean(alpha, phi, draws=MIN_DRAWS, seed=404) -> MomentCheck:
+def check_conditional_mean(alpha, phi, seed=404) -> MomentCheck:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
-    (eta,) = _simulate_z(0.0, alpha, (1,), draws, seed)  # z_1 = eta_1 when phi = 0
+    (eta,) = _simulate_z(0.0, alpha, (1,), seed)  # z_1 = eta_1 when phi = 0
     shock = np.exp(eta)
     worst = None
     for z_prev in np.linspace(-2.0, 2.0, 5):
@@ -198,19 +196,19 @@ def check_wnvn(params: ModelParams, seed: int = 606) -> dict:
     }
 
 
-def run_moment_suite(draws: int = MIN_DRAWS, seed: int = 707) -> list[MomentCheck]:
+def run_moment_suite(seed: int = 707) -> list[MomentCheck]:
     """The default battery of lognormal moment checks."""
     cases = [
-        check_mean_sigma2(0.0, 0.9, 3, draws, seed),
-        check_mean_sigma2(0.5, 0.9, 3, draws, seed + 1),
-        check_mean_sigma2(0.5, 0.5, 1, draws, seed + 2),
-        check_fourth_moment(0.0, 0.9, 3, draws, seed + 3),
-        check_fourth_moment(0.5, 0.5, 2, draws, seed + 4),
-        check_fourth_moment(0.3, 0.95, 10, draws, seed + 5),
-        check_cross_moment(0.0, 0.9, 2, 4, draws, seed + 6),
-        check_cross_moment(0.5, 0.9, 2, 4, draws, seed + 7),
-        check_cross_moment(0.4, 0.3, 2, 12, draws, seed + 8),
-        check_conditional_mean(0.0, 0.9, draws, seed + 9),
-        check_conditional_mean(0.5, 0.9, draws, seed + 10),
+        check_mean_sigma2(0.0, 0.9, 3, seed),
+        check_mean_sigma2(0.5, 0.9, 3, seed + 1),
+        check_mean_sigma2(0.5, 0.5, 1, seed + 2),
+        check_fourth_moment(0.0, 0.9, 3, seed + 3),
+        check_fourth_moment(0.5, 0.5, 2, seed + 4),
+        check_fourth_moment(0.3, 0.95, 10, seed + 5),
+        check_cross_moment(0.0, 0.9, 2, 4, seed + 6),
+        check_cross_moment(0.5, 0.9, 2, 4, seed + 7),
+        check_cross_moment(0.4, 0.3, 2, 12, seed + 8),
+        check_conditional_mean(0.0, 0.9, seed + 9),
+        check_conditional_mean(0.5, 0.9, seed + 10),
     ]
     return cases

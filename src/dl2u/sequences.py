@@ -11,6 +11,7 @@ never overflow.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,16 +156,9 @@ def rho_n(params: ModelParams) -> float:
 
 def _min_admissible_n(rn: SequenceSpec, d: float) -> int | None:
     """Smallest n in [3, 10^9] with log(r_n) > d, or None if no such n exists."""
-    lo, hi = 3, 10**9
-    if math.log(eval_sequence(rn, hi)) <= d:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.log(eval_sequence(rn, mid)) > d:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    ns = range(3, 10**9 + 1)
+    i = bisect.bisect_left(ns, True, key=lambda n: math.log(eval_sequence(rn, n)) > d)
+    return ns[i] if i < len(ns) else None
 
 
 def phi_n(params: ModelParams) -> float:

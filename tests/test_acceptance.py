@@ -105,7 +105,7 @@ def test_criterion_5_histogram_panels():
 
 
 def test_criterion_6_moment_oracles():
-    checks = run_moment_suite(draws=10**5)
+    checks = run_moment_suite()
     exact_zero = all(c.z_score == 0.0 for c in checks if "alpha=0.0" in c.label)
     ok = all(c.passed for c in checks) and exact_zero
     worst = max(checks, key=lambda c: abs(c.z_score))

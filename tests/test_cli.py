@@ -166,10 +166,12 @@ class TestHist:
 
 
 class TestVerify:
-    def test_draw_floor_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--draws", "10")
-        assert code == EXIT_DOMAIN
-        assert "at least 100000" in err
+    def test_failed_check_exits_5_after_its_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "Z_THRESHOLD", 0.0)  # only the exact alpha = 0 checks pass
+        code, out, err = run(capsys, "verify", "--seed", "1")
+        assert code == EXIT_VERIFY
+        assert err == "verification failure: one or more oracle checks failed\n"
+        assert json.loads(out)["passed"] is False
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counters")
     def test_steady_state_takes_no_page_faults(self, capsys):
@@ -223,7 +225,7 @@ class TestParser:
         (["simulate", "--n", "50", "--seed", "-1"], None, EXIT_DOMAIN, "64-bit"),
         (["estimate", "missing.csv"], None, EXIT_DOMAIN, "missing.csv"),
         (["simulate", "--n", "50"], "seven", EXIT_USAGE, "'seven'"),
-        (["verify", "--draws", "10"], "seven", EXIT_DOMAIN, "at least 100000"),
+        (["verify"], "seven", EXIT_OK, ""),  # no --seed: argparse parses only a default it uses
         (["estimate", "ab.csv"], None, EXIT_DOMAIN, "ab.csv has no y and u columns"),
         (["estimate", "empty.csv"], None, EXIT_DOMAIN, "empty.csv: the file is empty"),
         (["estimate", "blank.csv"], None, EXIT_DOMAIN, "blank.csv: the file is empty"),
@@ -305,7 +307,7 @@ class TestParser:
             (["table", "--id", "2a"], EXIT_USAGE),
             (["hist"], EXIT_USAGE),
             (["estimate", "missing.csv"], EXIT_DOMAIN),  # no seed to default
-            (["verify", "--draws", "10"], EXIT_DOMAIN),  # its own default seed
+            (["verify"], EXIT_OK),  # its own default seed
         ]:
             assert main_keeping_contract(argv)[0] == code
 
@@ -380,9 +382,7 @@ def cli_calls(draw, workdir):
         return ["hist", *_flags(draw, **sizes), *out], None
     # verify only with inputs it rejects up front: a full run takes seconds
     bad_seed = st.one_of(st.integers(max_value=-1), st.integers(2**64 - 2, 2**70))
-    bad = draw(bad_seed.map(lambda s: [f"--seed={s}"]) | st.integers(
-        max_value=oracles.MIN_DRAWS - 1).map(lambda d: [f"--draws={d}"]))
-    return ["verify", *bad], None
+    return ["verify", f"--seed={draw(bad_seed)}"], None
 
 
 @pytest.fixture(scope="module")

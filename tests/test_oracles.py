@@ -5,7 +5,6 @@ import pytest
 
 from dl2u.errors import DomainError
 from dl2u.oracles import (
-    MIN_DRAWS,
     check_conditional_mean,
     check_cross_moment,
     check_eq6_convergence,
@@ -66,14 +65,6 @@ class TestDegenerateAlpha:
             assert chk.z_score == 0.0
             assert chk.mc_estimate == chk.closed_form
             assert chk.passed
-
-
-class TestDrawFloor:
-    def test_refuses_small_samples(self):
-        with pytest.raises(DomainError):
-            check_mean_sigma2(0.5, 0.9, 3, draws=MIN_DRAWS - 1)
-        with pytest.raises(DomainError):
-            check_conditional_mean(0.5, 0.9, draws=10)
 
 
 class TestSuite:
