@@ -21,7 +21,7 @@ import numpy as np
 from . import montecarlo, oracles
 from .dgp import RngSeed, SimulatedPath, simulate_path
 from .errors import DomainError, NumericOverflowError, VerificationError
-from .estimator import ols_rho, pivot_S, pivot_T, score_rho_error
+from .estimator import ols_rho, pivot_S, pivot_T, score_rho_error, target_law
 from .sequences import ModelParams, Regime, SequenceSpec
 
 EXIT_OK = 0
@@ -159,12 +159,13 @@ def cmd_estimate(args) -> int:
         ols = ols_rho(y)
         rho_err = score_rho_error(SimulatedPath(y=y, sigma2=np.ones_like(y), u=u))
         piv = pivot(ols, params, rho_error=rho_err)
+        target = target_law(params)  # before the finiteness check: c = 0 exits 3, not 4
     if not (math.isfinite(ols.rho_hat) and math.isfinite(piv.value)):
         raise NumericOverflowError(f"the sums over {args.path} overflow: rho_hat = {ols.rho_hat}")
     report = {
         "rho_hat": ols.rho_hat,
         "pivot": {"kind": piv.kind, "value": piv.value},
-        "target": piv.target.label(),
+        "target": target.label(),
         "params": _params_meta(params),
     }
     json.dump(report, sys.stdout, indent=2)
@@ -212,8 +213,7 @@ def cmd_hist(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**64 - 2:  # seed + 2 is the wn_vn DGP base below
         raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {args.seed}")
-    checks = oracles.run_moment_suite(seed=args.seed)
-    reports = [c.as_dict() for c in checks]
+    reports = oracles.run_moment_suite(seed=args.seed)
 
     grid = [montecarlo.table_params("1a", SequenceSpec.power_of_n(0.25), n)
             for n in (montecarlo.N_NEARSTAT, 10000)]

@@ -49,13 +49,14 @@ class RngSeed:
 
 
 def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (eps, eta) innovations of len(streams) paths, each of shape (B, n).
+    """Draw the (eps, eta) innovations of len(streams) paths, each of shape (B, n) at alpha > 0.
 
     Row j of series s is the Philox stream with 128-bit key
     (base, streams[j]) started at counter s << 192, so disjoint series can
     never overlap.  One generator is re-keyed per row and series rather
     than rebuilt: a fresh key, counter and empty buffer give the same bits.
-    At alpha = 0, eta is a read-only broadcast view of 0.0.
+    At alpha = 0, eta is one writable row of zeros, shape (1, n): z's
+    recurrence needs no draws, and its one row serves every path.
     """
     RngSeed(base)  # validates the 64-bit range
     streams = np.asarray(streams, dtype=np.uint64)
@@ -68,7 +69,7 @@ def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarra
         eta = np.empty((B, n))
         series.append((_ETA_SERIES, eta))
     else:
-        eta = np.broadcast_to(0.0, (B, n))
+        eta = np.zeros((1, n))
     for j, stream in enumerate(streams.tolist()):
         for counter_hi, out in series:
             bitgen.state = {
@@ -80,8 +81,7 @@ def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarra
                 "uinteger": 0,
             }
             gen.standard_normal(out=out[j])
-    if params.alpha > 0:
-        eta *= params.alpha
+    eta *= params.alpha
     return eps, eta
 
 
@@ -89,8 +89,8 @@ def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarra
 class SimulatedPath:
     """One realized trajectory: y and sigma2 of length n+1, u of length n.
 
-    At alpha = 0, sigma2 is a read-only view of the one volatility row that
-    every path of its batch shares.
+    sigma2 is a read-only view; at alpha = 0 it is the one volatility row
+    that every path of its batch shares.
     """
 
     y: np.ndarray
@@ -135,8 +135,9 @@ def simulate_batch(
 
     Returns (y, sigma2, u) with shapes (B, n+1), (B, n+1), (B, n).  Row j
     is the path for RngSeed(base, streams[j]); single-path and batched
-    calls produce bit-identical values.  At alpha = 0 every path has the
-    same volatility, and sigma2 is a read-only broadcast view of one row.
+    calls produce bit-identical values.  sigma2 is a read-only broadcast
+    view with one volatility row per row of eta: at alpha = 0 that is the
+    one row every path shares.
     """
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
@@ -145,24 +146,18 @@ def simulate_batch(
 
     y = np.empty((B, n + 1))
     y[:, 0] = params.y0
-    # At alpha = 0, eta = 0 and every path shares one z row, driven by eta's first row.
-    sigma2 = np.empty((B, n + 1)) if params.alpha > 0 else np.empty((1, n + 1))
-    sigma2[:, 0] = params.z0
     # Huge alpha, z0 or rho_n make inf or NaN below; y's finiteness is checked at the end.
     with np.errstate(over="ignore", invalid="ignore"):
         # z = phi z + eta and y = rho y + u are the only recurrences; z runs
         # in sigma2 and is exponentiated there.  u is formed in eps's memory
         # as eps * sqrt(sigma2), which is bitwise sqrt(sigma2) * eps.
         eps, eta = draw_innovations(params, base, streams)
-        _recur(sigma2, eta[: len(sigma2)], phi)
+        sigma2 = np.empty((len(eta), n + 1))
+        sigma2[:, 0] = params.z0
+        _recur(sigma2, eta, phi)
         np.exp(sigma2, out=sigma2)
-        if params.alpha > 0:
-            vol = np.sqrt(sigma2[:, 1:], out=eta)
-        else:
-            vol = np.sqrt(sigma2[0, 1:])
-            sigma2 = np.broadcast_to(sigma2[0], (B, n + 1))
         u = eps
-        u *= vol
+        u *= np.sqrt(sigma2[:, 1:], out=eta)
         _recur(y, u, rho)
 
     # A non-finite y[t] stays non-finite through rho * y[t] + u[t] (0 * inf is
@@ -173,7 +168,7 @@ def simulate_batch(
             f"y overflowed at index t={t_bad} (seed base={base}, "
             f"stream={streams[j_bad]}); n log rho = {n * np.log(rho):g}"
         )
-    return y, sigma2, u
+    return y, np.broadcast_to(sigma2, y.shape), u
 
 
 def simulate_path(params: ModelParams, seed: RngSeed) -> SimulatedPath:

@@ -80,11 +80,10 @@ def score_rho_error(path: SimulatedPath) -> float:
 
 @dataclass(frozen=True)
 class PivotValue:
-    """A normalized statistic together with its limiting target law."""
+    """A normalized statistic; target_law(params) gives its limit law."""
 
     kind: str  # "T" (near-stationary) | "S" (explosive)
     value: float
-    target: TargetLaw
 
 
 def target_law(params: ModelParams) -> TargetLaw:
@@ -148,7 +147,7 @@ def pivot_T(ols: OlsResult, params: ModelParams, rho_error: float | None = None)
     """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c)."""
     scale = _stationary_scale(params)
     diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    return PivotValue(kind="T", value=scale * diff, target=target_law(params))
+    return PivotValue(kind="T", value=scale * diff)
 
 
 def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
@@ -160,7 +159,7 @@ def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None)
         log_mag = math.log(abs(diff)) + log_scale
         _check_explosive_overflow(log_mag, n_log_rho, "explosive pivot")
         value = math.copysign(math.exp(log_mag), diff)
-    return PivotValue(kind="S", value=value, target=target_law(params))
+    return PivotValue(kind="S", value=value)
 
 
 def sign_flip(y):

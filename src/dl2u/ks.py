@@ -90,15 +90,14 @@ def ks_pvalue(d: float, m: int) -> float:
 
 @dataclass(frozen=True)
 class KsResult:
-    """KS distance with its asymptotic p-value and sample size."""
+    """KS distance with its asymptotic p-value."""
 
     d_stat: float
     p_value: float
-    sample_size: int
 
 
 def ks_test(sample, law: TargetLaw) -> KsResult:
     """Run the one-sample KS test of `sample` against `law`."""
     d = ks_statistic(sample, law)
     m = len(np.asarray(sample))
-    return KsResult(d_stat=d, p_value=ks_pvalue(d, m), sample_size=m)
+    return KsResult(d_stat=d, p_value=ks_pvalue(d, m))

@@ -22,7 +22,6 @@ from .sequences import ModelParams, Regime, SequenceSpec
 
 __all__ = [
     "ExperimentSpec",
-    "ExperimentSummary",
     "TableRow",
     "TABLE_IDS",
     "N_NEARSTAT",
@@ -62,13 +61,6 @@ class ExperimentSpec:
             raise DomainError("replications must be at least 1")
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
-    mean_ks: float
-    acceptance_proportion: float
-    per_replication: tuple[KsResult, ...]
-
-
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     """Simulate B paths for replication `rep` and return their pivot values."""
     if not 0 <= rep < spec.replications:
@@ -87,16 +79,11 @@ def run_replication(spec: ExperimentSpec, rep: int) -> KsResult:
     return ks_test(replication_pivots(spec, rep), target_law(spec.params))
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
-    """Run all replications in order and summarize their KS tests."""
+def run_experiment(spec: ExperimentSpec) -> tuple[float, float]:
+    """Run all replications in order: (mean KS distance, acceptance proportion)."""
     results = [run_replication(spec, rep) for rep in range(spec.replications)]
-    mean_ks = float(np.mean([r.d_stat for r in results]))
     accepted = sum(1 for r in results if r.p_value > spec.alpha_level)
-    return ExperimentSummary(
-        mean_ks=mean_ks,
-        acceptance_proportion=accepted / spec.replications,
-        per_replication=tuple(results),
-    )
+    return float(np.mean([r.d_stat for r in results])), accepted / spec.replications
 
 
 # Table layouts.  The paper's table parameters are only partially stated;
@@ -183,8 +170,7 @@ def run_table(
             replications=replications,
             seed=_row_seed(seed, i),
         )
-        summary = run_experiment(spec)
-        rows.append(TableRow(label, summary.mean_ks, summary.acceptance_proportion))
+        rows.append(TableRow(label, *run_experiment(spec)))
     return rows
 
 

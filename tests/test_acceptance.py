@@ -106,12 +106,12 @@ def test_criterion_5_histogram_panels():
 
 def test_criterion_6_moment_oracles():
     checks = run_moment_suite()
-    exact_zero = all(c.z_score == 0.0 for c in checks if "alpha=0.0" in c.label)
-    ok = all(c.passed for c in checks) and exact_zero
-    worst = max(checks, key=lambda c: abs(c.z_score))
+    exact_zero = all(c["z_score"] == 0.0 for c in checks if "alpha=0.0" in c["label"])
+    ok = all(c["passed"] for c in checks) and exact_zero
+    worst = max(checks, key=lambda c: abs(c["z_score"]))
     detail = (
-        f"{sum(c.passed for c in checks)}/{len(checks)} within |z|<=4, "
-        f"worst {worst.label} z={worst.z_score:.2f}, alpha=0 exact: {exact_zero}"
+        f"{sum(c['passed'] for c in checks)}/{len(checks)} within |z|<=4, "
+        f"worst {worst['label']} z={worst['z_score']:.2f}, alpha=0 exact: {exact_zero}"
     )
     assert _report("6 (moment oracles)", ok, detail), detail
 

@@ -252,6 +252,9 @@ class TestParser:
          "cannot bin the pivots"),
         (["simulate", "--n", "50", "--alpha", "1e300"], None, EXIT_OVERFLOW, "y overflowed"),
         (["estimate", "huge.csv", "--n", "3"], None, EXIT_OVERFLOW, "huge.csv overflow"),
+        # the target law is checked before the pivot's finiteness
+        (["estimate", "huge.csv", "--n", "3", "--c", "0"], None, EXIT_DOMAIN,
+         "normal target needs a positive variance"),
         (["hist", "--n", "50", "--kn", "const:1e308"], None, EXIT_OVERFLOW, "n k_n"),
         # pivots near 1e155, whose squares in the Cauchy density overflow
         (["hist", "--panel", "right", "--n", "16", "--kn", "const:1.8845425674463404e+155",
@@ -271,7 +274,7 @@ class TestParser:
             "z0-minus-inf", "csv-y-not-a-number", "csv-u-infinite", "simulate-out-missing-dir",
             "table-out-missing-dir", "hist-out-missing-dir", "verify-negative-seed",
             "verify-wnvn-base-too-large", "hist-one-huge-pivot", "simulate-huge-alpha",
-            "csv-squares-overflow", "near-stationary-scale-overflow",
+            "csv-squares-overflow", "csv-overflow-with-c-zero", "near-stationary-scale-overflow",
             "hist-huge-pivots-no-warning", "table-negative-seed", "table-seed-2-to-the-64",
             "hist-n-zero", "hist-kn-empty", "simulate-out-empty"])
     def test_invalid_input_exit_codes(self, argv, env_seed, code, message,

@@ -56,7 +56,13 @@ class TestDeterminism:
         p = stat_params(alpha=alpha, n=17)
         base, streams = 2**64 - 1, [9, 0, 2**64 - 1, 5]
         eps, eta = draw_innovations(p, base, streams)
-        assert eps.shape == eta.shape == (len(streams), p.n)
+        assert eps.shape == (len(streams), p.n)
+        assert eta.flags.writeable
+        if alpha == 0:  # no eta draws: one row of zeros serves every path
+            assert eta.shape == (1, p.n)
+            assert np.array_equal(eta, np.zeros((1, p.n)))
+        else:
+            assert eta.shape == (len(streams), p.n)
         for j, s in enumerate(streams):
             fresh_eps, fresh_eta = (
                 np.random.Generator(np.random.Philox(key=base | s << 64, counter=series << 192))
@@ -64,8 +70,8 @@ class TestDeterminism:
                 for series in (0, 1)
             )
             assert np.array_equal(eps[j], fresh_eps)
-            assert np.array_equal(eta[j], alpha * fresh_eta)
-        assert eta.flags.writeable == (alpha > 0)  # alpha = 0: a read-only view of 0.0
+            if alpha > 0:
+                assert np.array_equal(eta[j], alpha * fresh_eta)
 
     def test_streams_are_distinct(self):
         p = stat_params()
@@ -87,12 +93,15 @@ class TestRecursion:
         path = simulate_path(p, RngSeed(3))
         assert np.all(path.sigma2 == 1.0)
 
-    def test_alpha_zero_shares_one_read_only_sigma2_row(self):
-        p = stat_params(alpha=0.0, n=40, z0=0.5)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_alpha_zero_shares_one_read_only_sigma2_row(self, alpha):
+        # sigma2 is a read-only view at every alpha; at alpha = 0 its rows are one row.
+        p = stat_params(alpha=alpha, n=40, z0=0.5)
         _, sigma2, _ = simulate_batch(p, 3, [0, 1, 2])
         assert sigma2.shape == (3, 41)
         assert not sigma2.flags.writeable
-        assert (sigma2 == sigma2[0]).all()
+        if alpha == 0:
+            assert (sigma2 == sigma2[0]).all()
         assert simulate_path(p, RngSeed(3)).sigma2.shape == (41,)
 
     def test_mean_recursion_holds(self):
@@ -230,9 +239,9 @@ class TestGolden:
 class TestMemory:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_traced_peak_counts_only_live_arrays(self, alpha):
-        # The (B, n)-sized arrays are y and eps at alpha = 0 (eta is a view of
-        # 0.0 and sigma2 one row), and y, sigma2, eps and eta at alpha > 0 (u
-        # is formed in eps, and sqrt(sigma2) in eta).  The recurrence tiles
+        # The (B, n)-sized arrays are y and eps at alpha = 0 (eta and sigma2
+        # are one row each), and y, sigma2, eps and eta at alpha > 0 (u is
+        # formed in eps, and sqrt(sigma2) in eta).  The recurrence tiles
         # add 0.13 of an array at n = 1000.
         B, n = 500, 1000
         p = stat_params(alpha=alpha, n=n)

@@ -99,7 +99,6 @@ class TestPivots:
         kn = eval_sequence(p.kn, p.n)
         expected = math.sqrt(p.n * kn) * (ols.rho_hat - rho_n(p))
         assert piv.value == pytest.approx(expected, rel=1e-14)
-        assert piv.target.label() == "N(0,2)"
 
     def test_pivot_S_fixture(self):
         # n = 300, c = 0.5, k_n = sqrt(300), centered error 1e-4:
@@ -108,7 +107,6 @@ class TestPivots:
         ols = OlsResult(numerator=1.0, denominator=1.0)
         piv = pivot_S(ols, p, rho_error=1e-4)
         assert piv.value == pytest.approx(8.838875127750353, rel=1e-12)
-        assert piv.target.label() == "Cauchy(0,1)"
 
     def test_pivot_regime_guards(self):
         ols = OlsResult(1.0, 1.0)
