@@ -197,7 +197,8 @@ class VolatilityScales:
 
 
 def scales(params: ModelParams) -> VolatilityScales:
-    """Compute log m_n and log l_n."""
+    """Compute log m_n and log l_n.  log m_n is SciPy 1.17's logsumexp replayed in
+    numpy step for step, np.exp included, because SciPy calls np.exp too."""
     phi = phi_n(params)
     alpha = params.alpha
     n = params.n
@@ -208,7 +209,11 @@ def scales(params: ModelParams) -> VolatilityScales:
     # math.expm1 by 1 ulp at (phi=0.9, t=2), a value that the cross-moment
     # closed form of `dl2u verify` pins.
     A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi2))
-    from scipy.special import logsumexp  # lazy: simulate/estimate/hist skip its 25 MB import
-    log_m = float(logsumexp(alpha**2 * A_t) - math.log(n))
+    a = alpha**2 * A_t
+    a_max = a.max()
+    top = a == a_max
+    count = np.count_nonzero(top)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count  # full length: same blocks
+    log_m = float(np.log1p(s) + np.log(count) + a_max) - math.log(n)
     log_l = alpha**2 / (2.0 * (1.0 - phi2))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -38,7 +38,7 @@ class TestCdfDensity:
         # variance-2 normal at sqrt(2) matches the standard normal at 1
         from scipy.special import ndtr
 
-        assert cdf(law, math.sqrt(2.0)) == pytest.approx(float(ndtr(1.0)), rel=1e-14)
+        assert cdf(law, math.sqrt(2.0)) == float(ndtr(1.0))
 
     @pytest.mark.parametrize("law", [TargetLaw.normal(2.0), TargetLaw.standard_cauchy()])
     def test_density_integrates_to_cdf_increment(self, law):
@@ -95,3 +95,70 @@ class TestKsPvalue:
         res = ks_test(rng.standard_normal(400), TargetLaw.normal(1.0))
         assert 0 <= res.d_stat <= 1
         assert res.p_value > 0.01
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _with_neighbours(points):
+    xs = np.array(points, dtype=float)
+    return np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+
+
+class TestScipyOracle:
+    """The normal CDF and the KS p-value replay scipy.special bit for bit.
+
+    scipy is a test-only dependency: the library computes both without it.
+    """
+
+    # Branch edges of Cephes ndtr at variance 1: x = a/sqrt(2) reaches 1/sqrt(2)
+    # at |a| = 1, the erf/erfc switch at sqrt(2), the P/Q to R/S switch at
+    # 8 sqrt(2), and erfc's underflow edge near |a| = 37.68.
+    EDGES = [s * b for b in (1.0, math.sqrt(2.0), 8 * math.sqrt(2.0), 37.68, 0.0, math.inf)
+             for s in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("variance", [1.0, 2.0])
+    def test_ndtr_matches_on_grid_and_edges(self, variance):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-40, 40, 400001), _with_neighbours(self.EDGES),
+                            np.linspace(37.6, 37.8, 20001), -np.linspace(37.6, 37.8, 20001)])
+        got = cdf(TargetLaw.normal(variance), x)
+        want = ndtr(x / math.sqrt(variance))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 15.0])
+    def test_ndtr_matches_on_seeded_normals(self, scale):
+        from scipy.special import ndtr
+
+        x = scale * np.random.default_rng(16).standard_normal(10**6)
+        assert np.array_equal(_bits(cdf(TargetLaw.normal(1.0), x)), _bits(ndtr(x)))
+
+    def test_ndtr_keeps_scalar_and_shape(self):
+        from scipy.special import ndtr
+
+        law = TargetLaw.normal(1.0)
+        assert type(cdf(law, 0.3)) is type(ndtr(0.3))
+        x = np.linspace(-3, 3, 12).reshape(3, 4)
+        assert np.array_equal(_bits(cdf(law, x)), _bits(ndtr(x)))
+        assert cdf(law, np.empty(0)).shape == (0,)
+
+    def test_pvalue_matches_kolmogorov(self):
+        from scipy.special import kolmogorov
+
+        # The Stephens factor at m = 3000 is 54.89, so d in [0, 1] spans the
+        # scaled argument x over [0, 40], and every double near 0.82 is some
+        # factor * d (the factor's mantissa, 1.72, exceeds 0.82's, 1.64).
+        m = 3000
+        factor = math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)
+        ds = list(np.linspace(0.0, 40.0 / factor, 400001))
+        ds += list(np.linspace(0.0, 0.05 / factor, 5001))
+        ds += [5e-324, 1e-300, 1e-20]
+        # the series switch at 0.82 and the early return at 0.04, to the ulp
+        for x in _with_neighbours([0.82, 0.04]):
+            near = _with_neighbours(_with_neighbours([x / factor]))
+            ds.append(next(float(d) for d in near if factor * d == x))
+        got = np.array([ks_pvalue(float(d), m) for d in ds])
+        want = np.array([kolmogorov(factor * float(d)) for d in ds])
+        assert np.array_equal(_bits(got), _bits(want))

@@ -19,12 +19,14 @@ def test_module_all_names_resolve(name):
     assert not missing
 
 
-def test_inspect_commands_leave_scipy_signal_and_special_out(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # Every CLI call is a fresh process that pays its imports. `import dl2u.cli`
-    # alone takes about 0.17 s and 29 MB peak RSS (2 vCPUs, Python 3.11, scipy
-    # 1.17). scipy.special takes that to 0.5 s and 54 MB, so only table, verify
-    # and the oracles import it, on first use. scipy.signal.lfilter runs the
-    # recurrences bit for bit, but its import takes it to 1.5 s and 103 MB.
+    # takes about 0.28 s and 29 MB peak RSS; `import numpy, scipy.special` takes
+    # 0.59 s and 53 MB (2 vCPUs, Python 3.11, numpy 2.4, scipy 1.17; medians of
+    # 10 fresh processes). dl2u computes the normal CDF, the KS p-value and
+    # log m_n in numpy and math, so no command loads any of scipy; scipy is a
+    # test-only oracle. scipy.signal.lfilter would run the recurrences bit for
+    # bit, but its import alone takes 1.6 s and 104 MB.
     # A plain `import dl2u` loads no module and no numpy: the modules are the API.
     code = f"""
 import contextlib, io, sys
@@ -36,7 +38,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--n", "50", "--out", out]) == 0
     assert cli.main(["estimate", out, "--n", "50"]) == 0
     assert cli.main(["hist", "--n", "50", "--paths", "20", "--bins", "10"]) == 0
-print(sorted(m for m in ("scipy.signal", "scipy.special") if m in sys.modules))
+    assert cli.main(["table", "--id", "2a", "--reps", "1", "--paths", "20",
+                     "--n-explosive", "50"]) == 0
+    assert cli.main(["table", "--id", "1a", "--reps", "1", "--paths", "20",
+                     "--n-nearstat", "50"]) == 0
+    assert cli.main(["verify"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(dl2u.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}

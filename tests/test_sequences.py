@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -143,6 +144,26 @@ class TestVolatilityScales:
         phi = phi_n(p)
         direct = np.mean([math.exp(p.alpha**2 * dispersion(phi, t)) for t in range(1, 51)])
         assert math.exp(vol.log_m_n) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 50, 1000, 10000])
+    def test_log_m_matches_scipy_logsumexp(self, n):
+        # scipy is a test-only oracle: scales replays its logsumexp bit for bit.
+        # The grid spans phi from about 0.1 to 1 - 1e-5 (r_n = n or log n).
+        # alpha = 0 is the grid that `dl2u verify`'s eq6 pins.
+        from scipy.special import logsumexp
+
+        for alpha, d, rn in itertools.product(
+            [0.0, 0.1, 0.5, 1.0, 3.0], [1e-4, 0.1, 0.5, 1.0],
+            [SequenceSpec.linear_n(), SequenceSpec.log_of_n()],
+        ):
+            if math.log(eval_sequence(rn, n)) <= d:
+                continue
+            p = stat_params(n=n, alpha=alpha, d=d, rn=rn)
+            phi = phi_n(p)
+            t = np.arange(1, n + 1, dtype=float)
+            A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi * phi))
+            want = float(logsumexp(alpha**2 * A_t) - math.log(n))
+            assert scales(p).log_m_n.hex() == want.hex(), (alpha, d, rn)
 
     def test_alpha_zero_scales_are_unit(self):
         vol = scales(stat_params(alpha=0.0))
