@@ -21,7 +21,7 @@ class TargetLaw:
 
     def __post_init__(self):
         if self.kind == "normal":
-            if self.variance is None or self.variance <= 0:
+            if self.variance is None or not 0 < self.variance < math.inf:
                 raise DomainError("normal target needs a positive variance")
         elif self.kind == "cauchy":
             if self.variance is not None:

@@ -18,7 +18,7 @@ from . import dgp
 from .errors import DomainError, NumericOverflowError
 from .estimator import pivots, target_law
 from .ks import KsResult, density, ks_test
-from .sequences import ModelParams, Regime, SequenceSpec
+from .sequences import ModelParams, Regime, SequenceKind, SequenceSpec
 
 __all__ = [
     "ExperimentSpec",
@@ -95,14 +95,14 @@ def run_experiment(spec: ExperimentSpec) -> tuple[float, float]:
 CONSTANT_KN = 3.0
 
 _KN_FULL = [
-    ("constant", SequenceSpec.constant(CONSTANT_KN)),
-    ("log n", SequenceSpec.log_of_n()),
-    ("n^0.1", SequenceSpec.power_of_n(0.1)),
-    ("n^0.25", SequenceSpec.power_of_n(0.25)),
-    ("n^0.5", SequenceSpec.power_of_n(0.5)),
-    ("n^0.75", SequenceSpec.power_of_n(0.75)),
-    ("n^0.99", SequenceSpec.power_of_n(0.99)),
-    ("n", SequenceSpec.linear_n()),
+    ("constant", SequenceSpec(SequenceKind.CONSTANT, CONSTANT_KN)),
+    ("log n", SequenceSpec.parse("log")),
+    ("n^0.1", SequenceSpec.parse("pow:0.1")),
+    ("n^0.25", SequenceSpec.parse("pow:0.25")),
+    ("n^0.5", SequenceSpec.parse("pow:0.5")),
+    ("n^0.75", SequenceSpec.parse("pow:0.75")),
+    ("n^0.99", SequenceSpec.parse("pow:0.99")),
+    ("n", SequenceSpec.parse("lin")),
 ]
 _KN_SV = _KN_FULL[2:]
 

@@ -59,22 +59,6 @@ class SequenceSpec:
             raise DomainError(f"{self.kind.value} sequence takes no parameter")
 
     @staticmethod
-    def constant(value: float) -> "SequenceSpec":
-        return SequenceSpec(SequenceKind.CONSTANT, float(value))
-
-    @staticmethod
-    def log_of_n() -> "SequenceSpec":
-        return SequenceSpec(SequenceKind.LOG_OF_N)
-
-    @staticmethod
-    def power_of_n(a: float) -> "SequenceSpec":
-        return SequenceSpec(SequenceKind.POWER_OF_N, float(a))
-
-    @staticmethod
-    def linear_n() -> "SequenceSpec":
-        return SequenceSpec(SequenceKind.LINEAR_N)
-
-    @staticmethod
     def parse(text: str) -> "SequenceSpec":
         """Parse CLI notation: 'const:V', 'log', 'pow:A' or 'lin'."""
         head, colon, arg = text.partition(":")
@@ -124,7 +108,7 @@ class ModelParams:
     n: int
     kn: SequenceSpec
     regime: Regime
-    rn: SequenceSpec = field(default_factory=SequenceSpec.log_of_n)
+    rn: SequenceSpec = field(default_factory=lambda: SequenceSpec(SequenceKind.LOG_OF_N))
     y0: float = 0.0
     z0: float = 0.0
 
@@ -140,6 +124,8 @@ class ModelParams:
             raise DomainError("alpha must be nonnegative")
         if self.n < 3:  # eval_sequence, which every formula calls, needs n >= 3
             raise DomainError(f"n must be at least 3, got n={self.n}")
+        if self.n > 2**53:  # the rate sequences use float(n), which is exact only up to 2^53
+            raise DomainError(f"n must be at most 2^53, got n={self.n}")
 
 
 def rho_n(params: ModelParams) -> float:

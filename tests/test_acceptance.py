@@ -92,8 +92,8 @@ def _panel_pass_count(params, repeats=100):
 
 
 def test_criterion_5_histogram_panels():
-    left = table_params("2b", SequenceSpec.power_of_n(0.25))
-    right = table_params("2a", SequenceSpec.power_of_n(0.5))
+    left = table_params("2b", SequenceSpec.parse("pow:0.25"))
+    right = table_params("2a", SequenceSpec.parse("pow:0.5"))
     left_passes = _panel_pass_count(left)
     right_passes = _panel_pass_count(right)
     ok = left_passes >= 85 and right_passes >= 85
@@ -117,7 +117,7 @@ def test_criterion_6_moment_oracles():
 
 
 def test_criterion_7_sum_of_squares_convergence():
-    grid = [table_params("1a", SequenceSpec.power_of_n(0.25), n) for n in (10**3, 10**5)]
+    grid = [table_params("1a", SequenceSpec.parse("pow:0.25"), n) for n in (10**3, 10**5)]
     result = check_eq6_convergence(grid, seed=11)
     entries = result["grid"]
     detail = "; ".join(f"n={e['n']}: |err|={e['abs_error']:.4f}" for e in entries)
@@ -125,7 +125,7 @@ def test_criterion_7_sum_of_squares_convergence():
 
 
 def test_criterion_8_wn_vn_limit_pair():
-    params = table_params("2a", SequenceSpec.power_of_n(0.5))
+    params = table_params("2a", SequenceSpec.parse("pow:0.5"))
     result = check_wnvn(params, seed=13)
     detail = "; ".join(
         f"{c['name']}={c['value']:.4f} (target {c['target']:.2f}, z={c['z']:.2f})"
@@ -147,7 +147,7 @@ def test_criterion_9_exact_invariants():
     if abs(ols_rho(3.7 * y).rho_hat / ols_rho(y).rho_hat - 1.0) > 1e-12:
         failures.append("OLS scale invariance")
 
-    params = table_params("2a", SequenceSpec.power_of_n(0.5))
+    params = table_params("2a", SequenceSpec.parse("pow:0.5"))
     path = simulate_path(params, RngSeed(21, 0))
     first, second = explosive_pair(path.y, path.u, params, scales(params))
     pivot = pivot_S(ols_rho(path.y), params, rho_error=score_rho_error(path)).value

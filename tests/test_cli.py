@@ -2,8 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
+import shlex
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +49,7 @@ class TestSimulate:
         from dl2u.sequences import ModelParams, Regime, SequenceSpec
 
         p = ModelParams(c=1.0, d=1.0, alpha=0.5, n=50,
-                        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY)
+                        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY)
         path = simulate_path(p, RngSeed(7, 0))
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert np.array_equal(data["y"], path.y)  # 17 significant digits
@@ -93,7 +97,7 @@ class TestEstimate:
         from dl2u.sequences import ModelParams, Regime, SequenceSpec
 
         p = ModelParams(c=1.0, d=1.0, alpha=0.5, n=100,
-                        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY)
+                        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY)
         path = simulate_path(p, RngSeed(3, 0))
         expected = pivot_T(ols_rho(path.y), p, rho_error=score_rho_error(path))
         assert report["pivot"]["value"] == pytest.approx(expected.value, rel=1e-12)
@@ -114,7 +118,7 @@ class TestEstimate:
 class TestTable:
     def test_csv_rows(self, capsys):
         code, stdout, _ = run(capsys, "table", "--id", "2a", "--reps", "1",
-                              "--paths", "20", "--n-explosive", "100", "--seed", "2")
+                              "--paths", "20", "--n", "100", "--seed", "2")
         assert code == EXIT_OK
         lines = stdout.strip().splitlines()
         assert lines[0] == "kn,mean_ks,acceptance"
@@ -123,7 +127,7 @@ class TestTable:
 
     def test_explosive_sum_of_squares_overflow_exits_4(self):
         # y stays finite at n log rho_n above 354, but sum y_{t-1}^2 does not
-        code, err = main_keeping_contract(["table", "--id", "1b", "--n-explosive", "3000",
+        code, err = main_keeping_contract(["table", "--id", "1b", "--n", "3000",
                                            "--reps", "1", "--paths", "50"])
         assert code == EXIT_OVERFLOW
         assert "sum of squared lags" in err
@@ -215,104 +219,104 @@ BAD_CSVS = {
 }
 
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["no-such-command"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv, env_seed, code, message", [
-        (["simulate", "--n", "50", "--seed", "-1"], None, EXIT_DOMAIN, "64-bit"),
-        (["estimate", "missing.csv"], None, EXIT_DOMAIN, "missing.csv"),
-        (["simulate", "--n", "50"], "seven", EXIT_USAGE, "'seven'"),
-        (["verify"], "seven", EXIT_OK, ""),  # no --seed: argparse parses only a default it uses
-        (["estimate", "ab.csv"], None, EXIT_DOMAIN, "ab.csv has no y and u columns"),
-        (["estimate", "empty.csv"], None, EXIT_DOMAIN, "empty.csv: the file is empty"),
-        (["estimate", "blank.csv"], None, EXIT_DOMAIN, "blank.csv: the file is empty"),
-        (["estimate", "short.csv"], None, EXIT_DOMAIN, "4 rows; --n 1000 needs 1001"),
-        (["simulate", "--n", "50", "--kn", "const:"], None, EXIT_DOMAIN, "'const:'"),
-        (["simulate", "--n", "50", "--kn", "pow:abc"], None, EXIT_DOMAIN, "'pow:abc'"),
-        (["simulate", "--n", "50", "--kn", "log:5"], None, EXIT_DOMAIN, "takes no parameter"),
-        (["simulate", "--n", "50", "--alpha", "nan"], None, EXIT_DOMAIN, "alpha must be finite"),
-        (["simulate", "--n", "50", "--c", "nan"], None, EXIT_DOMAIN, "c must be finite"),
-        (["simulate", "--n", "50", "--d", "nan"], None, EXIT_DOMAIN, "d must be finite"),
-        (["simulate", "--n", "50", "--y0", "nan"], None, EXIT_DOMAIN, "y0 must be finite"),
-        (["simulate", "--n", "50", "--z0=-inf"], None, EXIT_DOMAIN, "z0 must be finite"),
-        (["estimate", "abc.csv", "--n", "3"], None, EXIT_DOMAIN, "abc.csv has a y or u value"),
-        (["estimate", "inf.csv", "--n", "3"], None, EXIT_DOMAIN, "inf.csv has a y or u value"),
-        (["simulate", "--n", "50", "--out", "/nonexistent/dir/x"], None, EXIT_DOMAIN,
+    def test_readme_commands_parse(self):
+        # parsed only, not run: the docs name no flag the parser lacks
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("dl2u ")]
+        assert len(commands) >= 5
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["simulate", "--n", "50", "--seed", "-1"], EXIT_DOMAIN, "64-bit"),
+        (["estimate", "missing.csv"], EXIT_DOMAIN, "missing.csv"),
+        (["estimate", "ab.csv"], EXIT_DOMAIN, "ab.csv has no y and u columns"),
+        (["estimate", "empty.csv"], EXIT_DOMAIN, "empty.csv: the file is empty"),
+        (["estimate", "blank.csv"], EXIT_DOMAIN, "blank.csv: the file is empty"),
+        (["estimate", "short.csv"], EXIT_DOMAIN, "4 rows; --n 1000 needs 1001"),
+        (["simulate", "--n", "50", "--kn", "const:"], EXIT_DOMAIN, "'const:'"),
+        (["simulate", "--n", "50", "--kn", "pow:abc"], EXIT_DOMAIN, "'pow:abc'"),
+        (["simulate", "--n", "50", "--kn", "log:5"], EXIT_DOMAIN, "takes no parameter"),
+        (["simulate", "--n", "50", "--alpha", "nan"], EXIT_DOMAIN, "alpha must be finite"),
+        (["simulate", "--n", "50", "--c", "nan"], EXIT_DOMAIN, "c must be finite"),
+        (["simulate", "--n", "50", "--d", "nan"], EXIT_DOMAIN, "d must be finite"),
+        (["simulate", "--n", "50", "--y0", "nan"], EXIT_DOMAIN, "y0 must be finite"),
+        (["simulate", "--n", "50", "--z0=-inf"], EXIT_DOMAIN, "z0 must be finite"),
+        (["estimate", "abc.csv", "--n", "3"], EXIT_DOMAIN, "abc.csv has a y or u value"),
+        (["estimate", "inf.csv", "--n", "3"], EXIT_DOMAIN, "inf.csv has a y or u value"),
+        (["simulate", "--n", "50", "--out", "/nonexistent/dir/x"], EXIT_DOMAIN,
          "cannot write /nonexistent/dir/x"),
-        (["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n-explosive", "50",
-          "--out", "/nonexistent/dir/x"], None, EXIT_DOMAIN, "cannot write /nonexistent/dir/x"),
-        (["hist", "--n", "50", "--paths", "20", "--out", "/nonexistent/dir/x"], None,
-         EXIT_DOMAIN, "cannot write /nonexistent/dir/x"),
-        (["verify", "--seed", "-1"], None, EXIT_DOMAIN, "verify needs --seed"),
-        (["verify", "--seed", str(2**64 - 2)], None, EXIT_DOMAIN, "verify needs --seed"),
-        (["hist", "--n", "16", "--kn", "const:1e300", "--paths", "1"], None, EXIT_DOMAIN,
+        (["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n", "50",
+          "--out", "/nonexistent/dir/x"], EXIT_DOMAIN, "cannot write /nonexistent/dir/x"),
+        (["hist", "--n", "50", "--paths", "20", "--out", "/nonexistent/dir/x"], EXIT_DOMAIN,
+         "cannot write /nonexistent/dir/x"),
+        # a full disk fails at write or close, after the open succeeded
+        pytest.param(["simulate", "--n", "50", "--out", "/dev/full"], EXIT_DOMAIN,
+                     "cannot write /dev/full", marks=NEEDS_DEV_FULL),
+        pytest.param(["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n", "50",
+                      "--out", "/dev/full"], EXIT_DOMAIN, "cannot write /dev/full",
+                     marks=NEEDS_DEV_FULL),
+        pytest.param(["hist", "--n", "50", "--paths", "20", "--out", "/dev/full"], EXIT_DOMAIN,
+                     "cannot write /dev/full", marks=NEEDS_DEV_FULL),
+        (["verify", "--seed", "-1"], EXIT_DOMAIN, "verify needs --seed"),
+        (["verify", "--seed", str(2**64 - 2)], EXIT_DOMAIN, "verify needs --seed"),
+        (["hist", "--n", "16", "--kn", "const:1e300", "--paths", "1"], EXIT_DOMAIN,
          "cannot bin the pivots"),
-        (["simulate", "--n", "50", "--alpha", "1e300"], None, EXIT_OVERFLOW, "y overflowed"),
-        (["estimate", "huge.csv", "--n", "3"], None, EXIT_OVERFLOW, "huge.csv overflow"),
+        (["simulate", "--n", "50", "--alpha", "1e300"], EXIT_OVERFLOW, "y overflowed"),
+        (["estimate", "huge.csv", "--n", "3"], EXIT_OVERFLOW, "huge.csv overflow"),
         # the target law is checked before the pivot's finiteness
-        (["estimate", "huge.csv", "--n", "3", "--c", "0"], None, EXIT_DOMAIN,
+        (["estimate", "huge.csv", "--n", "3", "--c", "0"], EXIT_DOMAIN,
          "normal target needs a positive variance"),
-        (["hist", "--n", "50", "--kn", "const:1e308"], None, EXIT_OVERFLOW, "n k_n"),
+        (["hist", "--n", "50", "--kn", "const:1e308"], EXIT_OVERFLOW, "n k_n"),
         # pivots near 1e155, whose squares in the Cauchy density overflow
         (["hist", "--panel", "right", "--n", "16", "--kn", "const:1.8845425674463404e+155",
-          "--paths", "4"], None, EXIT_OK, ""),
+          "--paths", "4"], EXIT_OK, ""),
         # a table seed is checked, not spread modulo 2^64
-        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n-explosive", "50",
-          "--seed", "-1"], None, EXIT_DOMAIN, "64-bit"),
-        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n-explosive", "50",
-          "--seed", str(2**64)], None, EXIT_DOMAIN, "64-bit"),
+        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n", "50",
+          "--seed", "-1"], EXIT_DOMAIN, "64-bit"),
+        (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n", "50",
+          "--seed", str(2**64)], EXIT_DOMAIN, "64-bit"),
         # 0 and "" are values that get validated, not "not given"
-        (["hist", "--panel", "right", "--n", "0"], None, EXIT_DOMAIN, "n must be at least 3"),
-        (["hist", "--kn=", "--paths", "5"], None, EXIT_DOMAIN, "malformed sequence spec ''"),
-        (["simulate", "--n", "20", "--out="], None, EXIT_DOMAIN, "cannot write"),
-    ], ids=["negative-seed", "missing-csv", "bad-env-seed", "verify-ignores-env-seed",
-            "csv-without-y-u", "empty-csv", "blank-csv", "csv-length-not-n", "kn-const-no-value",
-            "kn-pow-not-a-number", "kn-log-with-value", "alpha-nan", "c-nan", "d-nan", "y0-nan",
-            "z0-minus-inf", "csv-y-not-a-number", "csv-u-infinite", "simulate-out-missing-dir",
-            "table-out-missing-dir", "hist-out-missing-dir", "verify-negative-seed",
-            "verify-wnvn-base-too-large", "hist-one-huge-pivot", "simulate-huge-alpha",
-            "csv-squares-overflow", "csv-overflow-with-c-zero", "near-stationary-scale-overflow",
+        (["hist", "--panel", "right", "--n", "0"], EXIT_DOMAIN, "n must be at least 3"),
+        (["hist", "--kn=", "--paths", "5"], EXIT_DOMAIN, "malformed sequence spec ''"),
+        (["simulate", "--n", "20", "--out="], EXIT_DOMAIN, "cannot write"),
+        # sizes the host cannot hold; each asks for petabytes, so it fails at once
+        (["simulate", "--n", str(10**15)], EXIT_DOMAIN, "Unable to allocate"),
+        (["simulate", "--n", str(10**20)], EXIT_DOMAIN, "n must be at most 2^53"),
+        (["table", "--id", "1a", "--reps", "1", "--paths", "5", "--n", str(10**15)], EXIT_DOMAIN,
+         "Unable to allocate"),
+        (["hist", "--n", "50", "--paths", "20", "--bins", str(10**15)], EXIT_DOMAIN,
+         "Unable to allocate"),
+        (["hist", "--n", "50", "--paths", str(10**15)], EXIT_DOMAIN, "Unable to allocate"),
+    ], ids=["negative-seed", "missing-csv", "csv-without-y-u", "empty-csv", "blank-csv",
+            "csv-length-not-n", "kn-const-no-value", "kn-pow-not-a-number", "kn-log-with-value",
+            "alpha-nan", "c-nan", "d-nan", "y0-nan", "z0-minus-inf", "csv-y-not-a-number",
+            "csv-u-infinite", "simulate-out-missing-dir", "table-out-missing-dir",
+            "hist-out-missing-dir", "simulate-out-full-disk", "table-out-full-disk",
+            "hist-out-full-disk", "verify-negative-seed", "verify-wnvn-base-too-large",
+            "hist-one-huge-pivot", "simulate-huge-alpha", "csv-squares-overflow",
+            "csv-overflow-with-c-zero", "near-stationary-scale-overflow",
             "hist-huge-pivots-no-warning", "table-negative-seed", "table-seed-2-to-the-64",
-            "hist-n-zero", "hist-kn-empty", "simulate-out-empty"])
-    def test_invalid_input_exit_codes(self, argv, env_seed, code, message,
-                                      tmp_path, monkeypatch):
+            "hist-n-zero", "hist-kn-empty", "simulate-out-empty", "simulate-n-1e15",
+            "simulate-n-1e20", "table-n-1e15", "hist-bins-1e15", "hist-paths-1e15"])
+    def test_invalid_input_exit_codes(self, argv, code, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_CSVS.items():
             (tmp_path / name).write_text(text)
-        if env_seed is not None:
-            monkeypatch.setenv("DL2U_SEED", env_seed)
         got, err = main_keeping_contract(argv)
         assert got == code
         assert message in err
-
-    def test_seed_env_default(self, monkeypatch):
-        monkeypatch.setenv("DL2U_SEED", "424242")
-        args = build_parser().parse_args(["table", "--id", "1a"])
-        assert args.seed == 424242
-
-    def test_cached_parser_follows_the_seed_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "path.csv"
-        for env_seed in ("5", "6"):
-            monkeypatch.setenv("DL2U_SEED", env_seed)
-            assert main(["simulate", "--n", "20", "--out", str(out)]) == EXIT_OK
-            meta = json.loads((tmp_path / "path.csv.meta.json").read_text())
-            assert meta["seed"]["base"] == int(env_seed)
-
-    def test_malformed_seed_env_after_a_cached_parser(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main_keeping_contract(["simulate", "--n", "20"])[0] == EXIT_OK
-        monkeypatch.setenv("DL2U_SEED", "seven")
-        for argv, code in [
-            (["simulate", "--n", "20"], EXIT_USAGE),
-            (["table", "--id", "2a"], EXIT_USAGE),
-            (["hist"], EXIT_USAGE),
-            (["estimate", "missing.csv"], EXIT_DOMAIN),  # no seed to default
-            (["verify"], EXIT_OK),  # its own default seed
-        ]:
-            assert main_keeping_contract(argv)[0] == code
 
     def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
         # the benchmark wraps cli.cmd_* after the parser may have been built
@@ -367,7 +371,8 @@ def _path_csv(draw, n):
 def cli_calls(draw, workdir):
     """(argv, CSV text or None) for one generated call of a subcommand."""
     out = draw(st.sampled_from([[], ["--out", f"{workdir}/out.txt"],
-                                ["--out", "/nonexistent/dir/x"], ["--out", str(workdir)]]))
+                                ["--out", "/nonexistent/dir/x"], ["--out", str(workdir)],
+                                ["--out", "/dev/full"]]))
     command = draw(st.sampled_from(["simulate", "estimate", "table", "hist", "verify"]))
     if command == "simulate":
         return ["simulate", *_flags(draw, **MODEL, seed=SEEDS, rep=SEEDS), *out], None
@@ -377,7 +382,7 @@ def cli_calls(draw, workdir):
         return ["estimate", f"{workdir}/path.csv", *_flags(draw, **model)], _path_csv(draw, n)
     if command == "table":
         sizes = dict(id=st.sampled_from(["1a", "1b", "2a", "2b", "3c"]), reps=st.integers(-1, 1),
-                     paths=PATHS, n_nearstat=SIZES, n_explosive=SIZES, seed=SEEDS)
+                     paths=PATHS, n=SIZES, seed=SEEDS)
         return ["table", *_flags(draw, **sizes), *out], None
     if command == "hist":
         sizes = dict(panel=st.sampled_from(["left", "right"]), n=SIZES, kn=SPECS,

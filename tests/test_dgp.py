@@ -16,7 +16,7 @@ RNG = np.random.default_rng(20)
 def stat_params(**kw):
     base = dict(
         c=1.0, d=1.0, alpha=0.5, n=200,
-        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY,
+        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -144,7 +144,7 @@ class TestTiles:
     @pytest.mark.parametrize("B", [1, 3])
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_matches_column_loop_bitwise(self, n, B, alpha):
-        p = stat_params(alpha=alpha, n=n, rn=SequenceSpec.constant(10.0), y0=2.5, z0=-1.25)
+        p = stat_params(alpha=alpha, n=n, rn=SequenceSpec.parse("const:10"), y0=2.5, z0=-1.25)
         streams = np.arange(B, dtype=np.uint64)
         for got, want in zip(simulate_batch(p, 13, streams), column_loop_batch(p, 13, streams)):
             assert np.array_equal(got, want)
@@ -183,7 +183,8 @@ class TestTiles:
 
 
 class TestOverflow:
-    P = stat_params(c=100.0, n=300, kn=SequenceSpec.constant(1.0), regime=Regime.MILDLY_EXPLOSIVE)
+    P = stat_params(c=100.0, n=300, kn=SequenceSpec.parse("const:1"),
+                    regime=Regime.MILDLY_EXPLOSIVE)
 
     def test_overflow_raises_with_location(self):
         streams = np.arange(3, dtype=np.uint64)
@@ -215,7 +216,7 @@ GOLDEN_CASES = {
                       "37e478fd2d8d23bc28ae528706c5c145cc9364dfed4a58a4cafd09319f88013a"),
     "y0-z0-alpha-0.5": (dict(y0=-3.0, z0=-0.75), 11, [0, 1, 2],
                         "12ceeab820ee348ce6d784c2390b382138bacc2959dbec55a3a7bb037c3268b2"),
-    "explosive": (dict(n=300, kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE),
+    "explosive": (dict(n=300, kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE),
                   7, [0, 1, 2],
                   "8c535511f12882ba4838de56f497ec3c3f7dd85dfd006ccf0c6c0ed00a487660"),
     "one-path-odd-n": (dict(n=17), 3, [4],

@@ -22,7 +22,7 @@ from dl2u.sequences import ModelParams, Regime, SequenceSpec, eval_sequence, rho
 def stat_params(**kw):
     base = dict(
         c=1.0, d=1.0, alpha=0.5, n=200,
-        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY,
+        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -31,7 +31,7 @@ def stat_params(**kw):
 def expl_params(**kw):
     base = dict(
         c=0.5, d=1.0, alpha=0.5, n=300,
-        kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE,
+        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -84,7 +84,7 @@ class TestScoreForm:
     def test_survives_deep_explosive_cancellation(self):
         # rho_n^n here is ~1e33, so the direct difference underflows the
         # rounding error of rho_hat; the score form must stay finite & small
-        p = expl_params(n=300, kn=SequenceSpec.power_of_n(0.1))
+        p = expl_params(n=300, kn=SequenceSpec.parse("pow:0.1"))
         path = simulate_path(p, RngSeed(1, 0))
         err = score_rho_error(path)
         assert 0 < abs(err) < 1e-20
@@ -116,7 +116,7 @@ class TestPivots:
             pivot_S(ols, stat_params())
 
     def test_pivot_S_overflow_names_exponent(self):
-        p = expl_params(n=10**5, kn=SequenceSpec.log_of_n())
+        p = expl_params(n=10**5, kn=SequenceSpec.parse("log"))
         with pytest.raises(NumericOverflowError, match="n log rho_n"):
             pivot_S(OlsResult(1.0, 1.0), p, rho_error=1.0)
 

@@ -18,6 +18,9 @@ class TestTargetLaw:
             TargetLaw("normal", -1.0)
         with pytest.raises(DomainError):
             TargetLaw("normal")
+        for variance in (math.nan, math.inf, -math.inf):  # NaN passes `variance <= 0`
+            with pytest.raises(DomainError, match="normal target needs a positive variance"):
+                TargetLaw.normal(variance)
         with pytest.raises(DomainError):
             TargetLaw("cauchy", 1.0)
         with pytest.raises(DomainError):

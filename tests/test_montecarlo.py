@@ -31,7 +31,7 @@ from dl2u.sequences import ModelParams, Regime, SequenceSpec
 def stat_spec(**kw):
     params = ModelParams(
         c=1.0, d=1.0, alpha=0.5, n=100,
-        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY,
+        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
     )
     base = dict(params=params, paths_per_test=50, replications=4, seed=9)
     base.update(kw)
@@ -41,7 +41,7 @@ def stat_spec(**kw):
 def expl_spec(**kw):
     params = ModelParams(
         c=0.5, d=1.0, alpha=0.5, n=100,
-        kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE,
+        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE,
     )
     base = dict(params=params, paths_per_test=50, replications=4, seed=9)
     base.update(kw)
@@ -107,10 +107,10 @@ class TestReplications:
             replication_pivots(spec, 0)
 
     def test_overflow_names_replication_and_exponent(self):
-        spec = stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.constant(1e308)))
+        spec = stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.parse("const:1e+308")))
         with pytest.raises(NumericOverflowError, match="replication 2 aborted: .*n k_n"):
             replication_pivots(spec, 2)
-        params = replace(expl_spec().params, n=10**5, kn=SequenceSpec.log_of_n())
+        params = replace(expl_spec().params, n=10**5, kn=SequenceSpec.parse("log"))
         y, u = np.zeros((1, params.n + 1)), np.zeros((1, params.n))
         y[0, 0] = u[0, 0] = 1.0  # centered error 1
         with pytest.raises(NumericOverflowError, match="explosive pivot overflow: n log rho_n"):
@@ -254,7 +254,7 @@ class TestTables:
         assert table_kn_rows("2a")[0][0] == "n^0.1"
 
     def test_table_params(self):
-        kn = SequenceSpec.power_of_n(0.5)
+        kn = SequenceSpec.parse("pow:0.5")
         got = [table_params(tid, kn, n_nearstat=400, n_explosive=200) for tid in TABLE_IDS]
         assert [(p.c, p.d, p.alpha, p.n, p.kn, p.regime) for p in got] == [
             (1.0, 1.0, 0.0, 400, kn, Regime.NEAR_STATIONARY),
@@ -267,7 +267,7 @@ class TestTables:
         with pytest.raises(DomainError):
             table_kn_rows("3c")
         with pytest.raises(DomainError):
-            table_params("3c", SequenceSpec.log_of_n())
+            table_params("3c", SequenceSpec.parse("log"))
         with pytest.raises(DomainError):
             run_table("3c")
 

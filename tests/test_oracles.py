@@ -19,7 +19,7 @@ from dl2u.sequences import ModelParams, Regime, SequenceSpec
 def stat_params(**kw):
     base = dict(
         c=1.0, d=1.0, alpha=0.0, n=1000,
-        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY,
+        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -84,13 +84,13 @@ class TestConvergenceChecks:
 
     def test_eq6_regime_guard(self):
         bad = ModelParams(c=0.5, d=1.0, alpha=0.0, n=300,
-                          kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
+                          kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
         with pytest.raises(DomainError):
             check_eq6_convergence([bad, bad])
 
     def test_wnvn_passes_at_reference_point(self):
         p = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                        kn=SequenceSpec.power_of_n(0.5), regime=Regime.MILDLY_EXPLOSIVE)
+                        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
         result = check_wnvn(p)
         assert result["passed"]
         assert {c["name"] for c in result["checks"]} == {"var_W", "var_V", "corr_WV"}

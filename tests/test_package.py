@@ -39,9 +39,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["estimate", out, "--n", "50"]) == 0
     assert cli.main(["hist", "--n", "50", "--paths", "20", "--bins", "10"]) == 0
     assert cli.main(["table", "--id", "2a", "--reps", "1", "--paths", "20",
-                     "--n-explosive", "50"]) == 0
+                     "--n", "50"]) == 0
     assert cli.main(["table", "--id", "1a", "--reps", "1", "--paths", "20",
-                     "--n-nearstat", "50"]) == 0
+                     "--n", "50"]) == 0
     assert cli.main(["verify"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

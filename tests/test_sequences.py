@@ -23,7 +23,7 @@ from dl2u.sequences import (
 def stat_params(**kw):
     base = dict(
         c=1.0, d=1.0, alpha=0.5, n=1000,
-        kn=SequenceSpec.power_of_n(0.25), regime=Regime.NEAR_STATIONARY,
+        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -35,13 +35,14 @@ class TestSequenceSpec:
             spec = SequenceSpec.parse(text)
             assert spec.label() == text
             assert SequenceSpec.parse(spec.label()) == spec
-        assert SequenceSpec.power_of_n(0.123456789).label() == "pow:0.123456789"
+        assert SequenceSpec(SequenceKind.POWER_OF_N, 0.123456789).label() == "pow:0.123456789"
 
     @given(st.one_of(
         st.floats(min_value=0, max_value=math.inf, exclude_min=True, exclude_max=True)
-        .map(SequenceSpec.constant),
-        st.floats(min_value=0, max_value=1, exclude_min=True).map(SequenceSpec.power_of_n),
-        st.sampled_from([SequenceSpec.log_of_n(), SequenceSpec.linear_n()]),
+        .map(lambda v: SequenceSpec(SequenceKind.CONSTANT, v)),
+        st.floats(min_value=0, max_value=1, exclude_min=True)
+        .map(lambda a: SequenceSpec(SequenceKind.POWER_OF_N, a)),
+        st.sampled_from([SequenceSpec.parse("log"), SequenceSpec.parse("lin")]),
     ))
     def test_label_never_rounds(self, spec):
         assert SequenceSpec.parse(spec.label()) == spec
@@ -52,17 +53,17 @@ class TestSequenceSpec:
 
     def test_constant_needs_positive_value(self):
         with pytest.raises(DomainError):
-            SequenceSpec.constant(0.0)
+            SequenceSpec(SequenceKind.CONSTANT, 0.0)
         for value in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                SequenceSpec.constant(value)
+                SequenceSpec(SequenceKind.CONSTANT, value)
 
     def test_power_exponent_range(self):
         with pytest.raises(DomainError):
-            SequenceSpec.power_of_n(0.0)
+            SequenceSpec(SequenceKind.POWER_OF_N, 0.0)
         with pytest.raises(DomainError):
-            SequenceSpec.power_of_n(1.5)
-        assert SequenceSpec.power_of_n(1.0).kind is SequenceKind.POWER_OF_N
+            SequenceSpec(SequenceKind.POWER_OF_N, 1.5)
+        assert SequenceSpec(SequenceKind.POWER_OF_N, 1.0).kind is SequenceKind.POWER_OF_N
 
     def test_parameterless_kinds_reject_value(self):
         with pytest.raises(DomainError):
@@ -71,19 +72,19 @@ class TestSequenceSpec:
 
 class TestEvalSequence:
     def test_values(self):
-        assert eval_sequence(SequenceSpec.constant(3.0), 1000) == 3.0
-        assert eval_sequence(SequenceSpec.log_of_n(), 1000) == math.log(1000)
-        assert eval_sequence(SequenceSpec.power_of_n(0.5), 100) == pytest.approx(10.0)
-        assert eval_sequence(SequenceSpec.linear_n(), 42) == 42.0
+        assert eval_sequence(SequenceSpec.parse("const:3"), 1000) == 3.0
+        assert eval_sequence(SequenceSpec.parse("log"), 1000) == math.log(1000)
+        assert eval_sequence(SequenceSpec.parse("pow:0.5"), 100) == pytest.approx(10.0)
+        assert eval_sequence(SequenceSpec.parse("lin"), 42) == 42.0
 
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
-            eval_sequence(SequenceSpec.log_of_n(), 2)
+            eval_sequence(SequenceSpec.parse("log"), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=3, max_value=10**6))
     def test_log_pow_lin_increase_with_n(self, n):
-        for spec in [SequenceSpec.log_of_n(), SequenceSpec.power_of_n(0.3), SequenceSpec.linear_n()]:
+        for spec in map(SequenceSpec.parse, ["log", "pow:0.3", "lin"]):
             assert eval_sequence(spec, n + 1) > eval_sequence(spec, n)
 
 
@@ -98,6 +99,9 @@ class TestModelParams:
         for n in (-1, 0, 2):
             with pytest.raises(DomainError, match="at least 3"):
                 stat_params(n=n)
+        with pytest.raises(DomainError, match=r"at most 2\^53"):  # float(n) is exact to 2^53
+            stat_params(n=2**53 + 1)
+        assert stat_params(n=2**53).n == 2**53
         for name in ("c", "d", "alpha", "y0", "z0"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
@@ -106,15 +110,15 @@ class TestModelParams:
 
 class TestRoots:
     def test_rho_both_regimes(self):
-        p = stat_params(c=0.5, n=300, kn=SequenceSpec.power_of_n(0.5),
+        p = stat_params(c=0.5, n=300, kn=SequenceSpec.parse("pow:0.5"),
                         regime=Regime.MILDLY_EXPLOSIVE)
         assert rho_n(p) == pytest.approx(1.0288675134594813, rel=1e-15)
-        q = stat_params(c=0.5, n=300, kn=SequenceSpec.power_of_n(0.5))
+        q = stat_params(c=0.5, n=300, kn=SequenceSpec.parse("pow:0.5"))
         assert rho_n(q) == pytest.approx(2.0 - rho_n(p), rel=1e-15)
 
     def test_near_stationary_guard(self):
         with pytest.raises(DomainError, match="k_n > c"):
-            rho_n(stat_params(c=10.0, kn=SequenceSpec.constant(2.0)))
+            rho_n(stat_params(c=10.0, kn=SequenceSpec.parse("const:2")))
 
     def test_phi_value(self):
         p = stat_params(d=0.001, n=10**4)
@@ -154,7 +158,7 @@ class TestVolatilityScales:
 
         for alpha, d, rn in itertools.product(
             [0.0, 0.1, 0.5, 1.0, 3.0], [1e-4, 0.1, 0.5, 1.0],
-            [SequenceSpec.linear_n(), SequenceSpec.log_of_n()],
+            [SequenceSpec.parse("lin"), SequenceSpec.parse("log")],
         ):
             if math.log(eval_sequence(rn, n)) <= d:
                 continue
