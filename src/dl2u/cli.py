@@ -9,7 +9,6 @@ Exit codes: 0 ok, 2 usage, 3 domain error, 4 numeric overflow,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -72,24 +71,29 @@ def _params_meta(params: ModelParams) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _output(path):
-    """Yield `path` opened for writing, or stdout when no path is given."""
-    if path is None:
-        yield sys.stdout
-        return
+def _write(text: str, path: str | None = None) -> None:
+    """Write `text` to `path`, or to stdout and flush it there; any OSError exits 3."""
     try:
-        with open(path, "w") as fh:
-            yield fh
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
+        if path is None:  # close it: what a failed flush left buffered would fail again at exit
+            try:
+                sys.stdout.close()
+            except OSError:
+                pass
+        raise DomainError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
-def _write_path_csv(path: SimulatedPath, out):
+def _csv_text(path: SimulatedPath) -> str:
     y, sigma2, u = path.y.tolist(), path.sigma2.tolist(), path.u.tolist()
     row = f"%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
     rows = [row % cells for cells in zip(range(1, len(y)), y[1:], sigma2[1:], u)]
-    out.write(f"t,y,sigma2,u\n0,{_FLOAT_FMT % y[0]},{_FLOAT_FMT % sigma2[0]},\n" + "".join(rows))
+    return f"t,y,sigma2,u\n0,{_FLOAT_FMT % y[0]},{_FLOAT_FMT % sigma2[0]},\n" + "".join(rows)
 
 
 def _read_path_csv(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,16 +140,11 @@ def cmd_simulate(args) -> int:
     params = _params_from(args)
     seed = RngSeed(args.seed, args.rep)
     path = simulate_path(params, seed)
-    meta = {
-        "command": "simulate",
-        "params": _params_meta(params),
-        "seed": {"base": seed.base, "stream": seed.stream},
-    }
-    with _output(args.out) as out:
-        _write_path_csv(path, out)
+    meta = {"command": "simulate", "params": _params_meta(params),
+            "seed": {"base": seed.base, "stream": seed.stream}}
+    _write(_csv_text(path), args.out)
     if args.out is not None:
-        with _output(args.out + ".meta.json") as fh:
-            json.dump(meta, fh, indent=2)
+        _write(json.dumps(meta, indent=2), args.out + ".meta.json")  # no final newline
     return EXIT_OK
 
 
@@ -166,8 +165,7 @@ def cmd_estimate(args) -> int:
         "target": target.label(),
         "params": _params_meta(params),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -184,10 +182,9 @@ def cmd_table(args) -> int:
         paths_per_test=args.paths,
         seed=args.seed,
     )
-    with _output(args.out) as out:
-        out.write("kn,mean_ks,acceptance\n")
-        for row in rows:
-            out.write(f"{row.kn_label},{_FLOAT_FMT % row.mean_ks},{_FLOAT_FMT % row.acceptance}\n")
+    lines = [f"{row.kn_label},{_FLOAT_FMT % row.mean_ks},{_FLOAT_FMT % row.acceptance}\n"
+             for row in rows]
+    _write("kn,mean_ks,acceptance\n" + "".join(lines), args.out)
     return EXIT_OK
 
 
@@ -199,15 +196,12 @@ def cmd_hist(args) -> int:
     table_id, kn = _PANELS[args.panel]
     kn = SequenceSpec.parse(kn if args.kn is None else args.kn)
     params = montecarlo.table_params(table_id, kn, **_sizes(args))
-    spec = montecarlo.ExperimentSpec(
-        params=params, paths_per_test=args.paths, replications=1, seed=args.seed
-    )
+    spec = montecarlo.ExperimentSpec(params, paths_per_test=args.paths, replications=1,
+                                     seed=args.seed)
     record = montecarlo.emit_histogram(spec, bins=args.bins)
     record["params"] = _params_meta(params)
     record["seed"] = args.seed
-    with _output(args.out) as out:
-        json.dump(record, out, indent=2)
-        out.write("\n")
+    _write(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -223,8 +217,7 @@ def cmd_verify(args) -> int:
     wnvn = oracles.check_wnvn(wnvn_params, seed=args.seed + 2)
     all_passed = all(r["passed"] for r in reports) and eq6["passed"] and wnvn["passed"]
     report = {"moment_checks": reports, "eq6": eq6, "wn_vn": wnvn, "passed": all_passed}
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(report, indent=2) + "\n")  # delivered before a failed check exits 5
     if not all_passed:
         raise VerificationError("one or more oracle checks failed")
     return EXIT_OK

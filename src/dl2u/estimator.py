@@ -109,6 +109,8 @@ def _log_explosive_scale(params: ModelParams) -> tuple[float, float]:
         raise DomainError("the explosive pivot requires the mildly explosive regime")
     if params.c <= 0:
         raise DomainError("the explosive pivot needs c > 0")
+    if 2.0 * params.c == math.inf:
+        raise NumericOverflowError("explosive scale overflow: 2c exceeds the float range")
     n_log_rho = params.n * math.log(rho_n(params))
     kn = eval_sequence(params.kn, params.n)
     return n_log_rho + math.log(kn) - math.log(2.0 * params.c), n_log_rho

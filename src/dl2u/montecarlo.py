@@ -59,6 +59,9 @@ class ExperimentSpec:
             raise DomainError("paths_per_test must be at least 1")
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
+        size = self.paths_per_test * (self.params.n + 1)
+        if size >= 2**60:  # numpy's largest float64 array; smaller sizes fail as MemoryError
+            raise DomainError(f"paths_per_test * (n + 1) must be below 2^60, got {size}")
 
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:

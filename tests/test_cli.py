@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -15,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from dl2u import cli, oracles
 from dl2u.cli import (
-    EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, _read_path_csv,
-    _write_path_csv, build_parser, main,
+    EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, _csv_text, _read_path_csv,
+    build_parser, main,
 )
 from dl2u.dgp import SimulatedPath
 
@@ -64,10 +66,9 @@ class TestSimulate:
 
         cells = np.array([0.0, -0.0, 5e-324, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
         path = SimulatedPath(y=cells, sigma2=cells[::-1].copy(), u=-cells[1:])
-        got, want = io.StringIO(), io.StringIO()
-        _write_path_csv(path, got)
+        want = io.StringIO()
         row_loop(path, want)
-        assert got.getvalue() == want.getvalue()
+        assert _csv_text(path) == want.getvalue()
 
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "5")
@@ -187,13 +188,21 @@ class TestVerify:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
-def main_keeping_contract(argv):
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def main_keeping_contract(argv, stdout_fails=False):
     """(exit code, stderr) of `main(argv)`, asserting the CLI's output contract.
 
     No Python warning may be printed, an escaping exception would be a
     traceback, and a domain error is exactly one `domain error:` line.
+    With `stdout_fails`, every write to stdout raises OSError.
     """
-    out, err = io.StringIO(), io.StringIO()
+    out, err = FullStdout() if stdout_fails else io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -299,6 +308,15 @@ class TestParser:
         (["hist", "--n", "50", "--paths", "20", "--bins", str(10**15)], EXIT_DOMAIN,
          "Unable to allocate"),
         (["hist", "--n", "50", "--paths", str(10**15)], EXIT_DOMAIN, "Unable to allocate"),
+        # sizes past numpy's index range: B (n + 1) float64 values need B (n + 1) < 2^60
+        (["table", "--id", "2a", "--reps", "1", "--paths", str(10**19), "--n", "50"], EXIT_DOMAIN,
+         "below 2^60"),
+        (["hist", "--n", "50", "--paths", str(2 * 10**19)], EXIT_DOMAIN, "below 2^60"),
+        (["table", "--id", "1a", "--reps", "1", "--paths", "4096", "--n", str(2**50)],
+         EXIT_DOMAIN, "below 2^60"),
+        # 2c overflows, so log(2c) would be inf and the pivot a silent 0.0
+        (["estimate", "short.csv", "--n", "3", "--c", "1e308", "--regime", "expl", "--kn", "lin"],
+         EXIT_OVERFLOW, "2c"),
     ], ids=["negative-seed", "missing-csv", "csv-without-y-u", "empty-csv", "blank-csv",
             "csv-length-not-n", "kn-const-no-value", "kn-pow-not-a-number", "kn-log-with-value",
             "alpha-nan", "c-nan", "d-nan", "y0-nan", "z0-minus-inf", "csv-y-not-a-number",
@@ -309,7 +327,9 @@ class TestParser:
             "csv-overflow-with-c-zero", "near-stationary-scale-overflow",
             "hist-huge-pivots-no-warning", "table-negative-seed", "table-seed-2-to-the-64",
             "hist-n-zero", "hist-kn-empty", "simulate-out-empty", "simulate-n-1e15",
-            "simulate-n-1e20", "table-n-1e15", "hist-bins-1e15", "hist-paths-1e15"])
+            "simulate-n-1e20", "table-n-1e15", "hist-bins-1e15", "hist-paths-1e15",
+            "table-paths-1e19", "hist-paths-2e19", "table-n-2-to-the-50",
+            "explosive-scale-2c-overflow"])
     def test_invalid_input_exit_codes(self, argv, code, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_CSVS.items():
@@ -327,6 +347,56 @@ class TestParser:
         assert calls == [21]
 
 
+# each command once with its output on stdout; estimate reads the path simulate writes
+STDOUT_CALLS = {
+    "simulate": ["simulate", "--n", "50"],
+    "estimate": ["estimate", "path.csv", "--n", "50"],
+    "table": ["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n", "50"],
+    "hist": ["hist", "--n", "50", "--paths", "20"],
+    "verify": ["verify"],
+}
+
+
+def run_cli_process(argv, cwd, stdout):
+    """(exit code, stderr) of `dl2u argv` as a fresh process writing to the descriptor `stdout`.
+
+    stdout is block-buffered, as by default, so a small report reaches the
+    descriptor only when it is flushed.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-m", "dl2u.cli", *argv], cwd=cwd, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return result.returncode, result.stderr
+
+
+class TestStdoutFailures:
+    """A stdout that cannot be written exits 3 with one line, as `--out` does."""
+
+    @NEEDS_DEV_FULL
+    @pytest.mark.parametrize("command", list(STDOUT_CALLS))
+    def test_full_stdout_exits_3(self, command, tmp_path):
+        # estimate's report is small enough to fail only when stdout is flushed
+        assert main(["simulate", "--n", "50", "--out", str(tmp_path / "path.csv")]) == EXIT_OK
+        with open("/dev/full", "w") as full:
+            code, err = run_cli_process(STDOUT_CALLS[command], tmp_path, full)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("domain error: cannot write stdout: [Errno 28]")
+        assert err.count("\n") == 1
+
+    def test_closed_pipe_exits_3(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_cli_process(STDOUT_CALLS["table"], tmp_path, write_end)
+        finally:
+            os.close(write_end)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("domain error: cannot write stdout: [Errno 32]")
+        assert err.count("\n") == 1
+
+
 # --- the exit-code contract over generated argument vectors -------------------
 
 def _either(good, wild):
@@ -341,7 +411,8 @@ SEEDS = _either(st.integers(0, 2**64 - 1), st.integers(max_value=-1)
 SPECS = _either(st.sampled_from(["log", "lin", "pow:0.25", "pow:0.5", "const:3"]), st.one_of(
     st.sampled_from(["const:", "log:5", "pow:abc", "bogus"]),
     VALUES.map(lambda v: f"const:{v}"), VALUES.map(lambda v: f"pow:{v}")))
-PATHS = _either(st.integers(1, 20), st.integers(-1, 0))
+# sizes of 10^15 and up fail at once, as a MemoryError or past numpy's index range
+PATHS = _either(st.integers(1, 20), st.integers(-1, 0) | st.integers(10**15, 2**70))
 SIZES = _either(st.integers(16, 60), st.integers(-3, 15))  # 16 is the least admissible n
 # n is always given, to keep paths short; any other flag may keep its default (None)
 MODEL = dict(n=SIZES, **{name: st.none() | s for name, s in dict(
@@ -402,10 +473,13 @@ def workdir(tmp_path_factory):
 @given(data=st.data())
 def test_every_call_keeps_the_exit_code_contract(workdir, data):
     argv, csv_text = data.draw(cli_calls(workdir))
+    stdout_fails = data.draw(st.booleans(), label="stdout_fails")  # for every command
     if csv_text is not None:
         (workdir / "path.csv").write_text(csv_text)
-    code, _ = main_keeping_contract(argv)
+    code, _ = main_keeping_contract(argv, stdout_fails)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_OVERFLOW, EXIT_VERIFY)
+    if stdout_fails and code == EXIT_OK:
+        assert "--out" in argv  # a success with a failing stdout wrote to a file
 
 
 # --- the path CSV reader against np.genfromtxt --------------------------------

@@ -13,6 +13,7 @@ from dl2u.estimator import (
     ols_rho,
     pivot_S,
     pivot_T,
+    pivots,
     score_rho_error,
     sign_flip,
 )
@@ -122,6 +123,15 @@ class TestPivots:
 
     def test_pivot_S_zero_error(self):
         assert pivot_S(OlsResult(1.0, 1.0), expl_params(), rho_error=0.0).value == 0.0
+
+    def test_explosive_scale_overflow_in_2c_raises(self):
+        # log(2c) was log(inf) here, so every pivot read 0.0 instead of overflowing
+        p = expl_params(n=3, c=1e308, kn=SequenceSpec.parse("lin"))
+        y, u = np.array([[0.0, 0.5, 1.0, 1.0]]), np.array([[0.5, 0.75, 0.25]])
+        with pytest.raises(NumericOverflowError, match="2c"):
+            pivots(p, y, u)
+        with pytest.raises(NumericOverflowError, match="2c"):
+            pivot_S(OlsResult(1.0, 1.0), p, rho_error=1e-4)
 
 
 class TestNormalizedQuantities:

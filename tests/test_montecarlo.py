@@ -55,6 +55,13 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             stat_spec(replications=0)
 
+    def test_batch_size_bound(self):
+        # B * (n + 1) float64 values must fit numpy's index range; nothing is allocated here
+        params = replace(stat_spec().params, n=3)
+        assert stat_spec(params=params, paths_per_test=2**58 - 1).paths_per_test == 2**58 - 1
+        with pytest.raises(DomainError, match="below 2\\^60"):
+            stat_spec(params=params, paths_per_test=2**58)
+
     def test_ks_level_is_fixed(self):
         assert stat_spec().alpha_level == 0.05
         with pytest.raises(TypeError):
