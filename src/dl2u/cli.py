@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 usage, 3 domain error, 4 numeric overflow,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -71,22 +72,21 @@ def _params_meta(params: ModelParams) -> dict:
     }
 
 
-def _write(text: str, path: str | None = None) -> None:
-    """Write `text` to `path`, or to stdout and flush it there; any OSError exits 3."""
+def _write(text: str, path: str | None = None, stream: str = "stdout") -> None:
+    """Write `text` to `path`, or to sys.`stream` and flush it there; any OSError exits 3."""
+    out = getattr(sys, stream)
     try:
         if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            out.write(text)
+            out.flush()
         else:
             with open(path, "w") as fh:
                 fh.write(text)
     except OSError as exc:
         if path is None:  # close it: what a failed flush left buffered would fail again at exit
-            try:
-                sys.stdout.close()
-            except OSError:
-                pass
-        raise DomainError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+            with contextlib.suppress(OSError):
+                out.close()
+        raise DomainError(f"cannot write {stream if path is None else path}: {exc}") from exc
 
 
 def _csv_text(path: SimulatedPath) -> str:
@@ -273,14 +273,14 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (DomainError, MemoryError) as exc:  # MemoryError: a size the host cannot hold
-        print(f"domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, line = EXIT_DOMAIN, f"domain error: {str(exc) or 'out of memory'}"
     except NumericOverflowError as exc:
-        print(f"numeric overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+        code, line = EXIT_OVERFLOW, f"numeric overflow: {exc}"
     except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        code, line = EXIT_VERIFY, f"verification failure: {exc}"
+    with contextlib.suppress(DomainError):  # an unwritable stderr loses the line, not the code
+        _write(line + "\n", stream="stderr")
+    return code
 
 
 if __name__ == "__main__":

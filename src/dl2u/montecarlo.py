@@ -177,7 +177,7 @@ def run_table(
     return rows
 
 
-def emit_histogram(spec: ExperimentSpec, bins: int = 50) -> dict:
+def emit_histogram(spec: ExperimentSpec, bins: int) -> dict:
     """Histogram of pooled pivot values with the target density overlay.
 
     Explosive pivots are clipped to their 1%-99% empirical quantile window

@@ -34,8 +34,12 @@ EQ6_PATHS = 200  # paths per grid point of check_eq6_convergence
 WNVN_PATHS = 2000  # paths of check_wnvn
 
 
-def _check(label: str, mc: float, closed: float, se: float) -> dict:
-    """One moment check's record, as `dl2u verify` prints it."""
+def _check(label: str, values: np.ndarray, closed: float) -> dict:
+    """The record of `values`' mean against `closed`, as `dl2u verify` prints it."""
+    if np.ptp(values) == 0.0:  # constant sample: mean is exact, error zero
+        mc, se = float(values[0]), 0.0
+    else:
+        mc, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
     z = 0.0 if se == 0.0 and mc == closed else (mc - closed) / se
     return {"label": label, "mc_estimate": mc, "closed_form": closed, "mc_std_error": se,
             "z_score": z, "passed": abs(z) <= Z_THRESHOLD}
@@ -56,60 +60,48 @@ def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], seed: int) -> 
     return [np.concatenate([at[t], -at[t]]) for t in steps]  # eta -> -eta flips z's sign
 
 
-def _mc_mean(values: np.ndarray) -> tuple[float, float]:
-    if np.ptp(values) == 0.0:  # constant sample: mean is exact, error zero
-        return float(values[0]), 0.0
-    mc = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return mc, se
-
-
-def check_mean_sigma2(alpha, phi, t, seed=101) -> dict:
+def check_mean_sigma2(alpha, phi, t, seed) -> dict:
     """E[sigma_t^2] = exp(alpha^2 A_t)."""
     (z,) = _simulate_z(phi, alpha, (t,), seed)
-    mc, se = _mc_mean(np.exp(z))
     closed = math.exp(alpha**2 * dispersion(phi, t))
-    return _check(f"mean_sigma2(alpha={alpha},phi={phi},t={t})", mc, closed, se)
+    return _check(f"mean_sigma2(alpha={alpha},phi={phi},t={t})", np.exp(z), closed)
 
 
-def check_fourth_moment(alpha, phi, t, seed=202) -> dict:
+def check_fourth_moment(alpha, phi, t, seed) -> dict:
     """E[sigma_t^4] = exp(2 Var z_t) = exp(4 alpha^2 A_t)."""
     (z,) = _simulate_z(phi, alpha, (t,), seed)
-    mc, se = _mc_mean(np.exp(2.0 * z))
     closed = math.exp(4.0 * alpha**2 * dispersion(phi, t))
-    return _check(f"fourth_moment(alpha={alpha},phi={phi},t={t})", mc, closed, se)
+    return _check(f"fourth_moment(alpha={alpha},phi={phi},t={t})", np.exp(2.0 * z), closed)
 
 
-def check_cross_moment(alpha, phi, s, t, seed=303) -> dict:
+def check_cross_moment(alpha, phi, s, t, seed) -> dict:
     """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s)."""
     if s > t:
         raise DomainError("cross moment needs s <= t")
     z_s, z_t = _simulate_z(phi, alpha, (s, t), seed)
-    mc, se = _mc_mean(np.exp(z_s + z_t))
     a2 = alpha**2
     closed = math.exp(
         a2 * dispersion(phi, s)
         + a2 * dispersion(phi, t)
         + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
     )
-    return _check(f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})", mc, closed, se)
+    label = f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})"
+    return _check(label, np.exp(z_s + z_t), closed)
 
 
-def check_conditional_mean(alpha, phi, seed=404) -> dict:
+def check_conditional_mean(alpha, phi, seed) -> dict:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
     (eta,) = _simulate_z(0.0, alpha, (1,), seed)  # z_1 = eta_1 when phi = 0
     shock = np.exp(eta)
     checks = []
     for z_prev in np.linspace(-2.0, 2.0, 5):
-        vals = math.exp(phi * z_prev) * shock
-        mc, se = _mc_mean(vals)
         closed = math.exp(phi * z_prev + alpha**2 / 2.0)
         label = f"conditional_mean(alpha={alpha},phi={phi},z={z_prev:g})"
-        checks.append(_check(label, mc, closed, se))
+        checks.append(_check(label, math.exp(phi * z_prev) * shock, closed))
     return max(checks, key=lambda c: abs(c["z_score"]))  # the first of equal maxima
 
 
-def check_eq6_convergence(params_grid, seed: int = 505) -> dict:
+def check_eq6_convergence(params_grid, seed: int) -> dict:
     """Normalized sum of squares drifting to 1/(2c) along an n-grid.
 
     Passes when the absolute error at the largest n is below the error at
@@ -136,7 +128,7 @@ def check_eq6_convergence(params_grid, seed: int = 505) -> dict:
     return {"label": "eq6_convergence", "grid": entries, "passed": passed}
 
 
-def check_wnvn(params: ModelParams, seed: int = 606) -> dict:
+def check_wnvn(params: ModelParams, seed: int) -> dict:
     """Variances of the explosive auxiliary sums vs 1/(2c), correlation vs 0.
 
     W_n weights innovations by rho^-j, V_n by rho^-(n-j+1); the limit is an

@@ -165,9 +165,15 @@ def phi_n(params: ModelParams) -> float:
     return 1.0 - params.d / log_rn
 
 
-def dispersion(phi: float, t: int) -> float:
-    """A_t = (1 - phi^(2t)) / (2 (1 - phi^2)), so that Var z_t = 2 alpha^2 A_t; A_1 = 1/2."""
-    return -math.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi * phi))
+def dispersion(phi: float, t):
+    """A_t = (1 - phi^(2t)) / (2 (1 - phi^2)), so that Var z_t = 2 alpha^2 A_t; A_1 = 1/2.
+
+    t is an int, which gives a float, or a 1-d int array.  libm's expm1 runs
+    at every t (numpy's SIMD expm1 rounds some of them 1 ulp apart).
+    """
+    x = 2.0 * np.atleast_1d(t) * math.log(phi)
+    a = -np.fromiter(map(math.expm1, x.tolist()), float, x.size) / (2.0 * (1.0 - phi * phi))
+    return a if np.ndim(t) else float(a[0])
 
 
 @dataclass(frozen=True)
@@ -188,18 +194,11 @@ def scales(params: ModelParams) -> VolatilityScales:
     phi = phi_n(params)
     alpha = params.alpha
     n = params.n
-    phi2 = phi * phi
-
-    t = np.arange(1, n + 1, dtype=float)
-    # Vectorized A_t.  `dispersion` cannot share it: np.expm1 differs from
-    # math.expm1 by 1 ulp at (phi=0.9, t=2), a value that the cross-moment
-    # closed form of `dl2u verify` pins.
-    A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi2))
-    a = alpha**2 * A_t
+    a = alpha**2 * dispersion(phi, np.arange(1, n + 1))
     a_max = a.max()
     top = a == a_max
     count = np.count_nonzero(top)
     s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count  # full length: same blocks
     log_m = float(np.log1p(s) + np.log(count) + a_max) - math.log(n)
-    log_l = alpha**2 / (2.0 * (1.0 - phi2))
+    log_l = alpha**2 / (2.0 * (1.0 - phi * phi))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -188,21 +188,23 @@ class TestVerify:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
-class FullStdout(io.StringIO):
-    """A stdout on a full disk: every write fails."""
+class FullStream(io.StringIO):
+    """A stdout or stderr on a full disk: every write fails."""
 
     def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def main_keeping_contract(argv, stdout_fails=False):
+def main_keeping_contract(argv, stdout_fails=False, stderr_fails=False):
     """(exit code, stderr) of `main(argv)`, asserting the CLI's output contract.
 
     No Python warning may be printed, an escaping exception would be a
     traceback, and a domain error is exactly one `domain error:` line.
-    With `stdout_fails`, every write to stdout raises OSError.
+    With `stdout_fails` or `stderr_fails`, every write to that stream raises
+    OSError; a failing stderr reads as empty, since `main` may close it.
     """
-    out, err = FullStdout() if stdout_fails else io.StringIO(), io.StringIO()
+    out = FullStream() if stdout_fails else io.StringIO()
+    err = FullStream() if stderr_fails else io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -211,6 +213,8 @@ def main_keeping_contract(argv, stdout_fails=False):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert [str(w.message) for w in caught] == []
+    if stderr_fails:
+        return code, ""
     if code == EXIT_DOMAIN:
         assert err.getvalue().startswith("domain error: ") and err.getvalue().count("\n") == 1
     return code, err.getvalue()
@@ -357,17 +361,17 @@ STDOUT_CALLS = {
 }
 
 
-def run_cli_process(argv, cwd, stdout):
+def run_cli_process(argv, cwd, stdout, stderr=subprocess.PIPE):
     """(exit code, stderr) of `dl2u argv` as a fresh process writing to the descriptor `stdout`.
 
     stdout is block-buffered, as by default, so a small report reaches the
-    descriptor only when it is flushed.
+    descriptor only when it is flushed.  stderr is None unless it is piped.
     """
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH", "")])
     result = subprocess.run([sys.executable, "-m", "dl2u.cli", *argv], cwd=cwd, env=env,
-                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+                            stdout=stdout, stderr=stderr, text=True)
     return result.returncode, result.stderr
 
 
@@ -395,6 +399,29 @@ class TestStdoutFailures:
         assert code == EXIT_DOMAIN
         assert err.startswith("domain error: cannot write stdout: [Errno 32]")
         assert err.count("\n") == 1
+
+
+class TestStderrFailures:
+    """A stderr that cannot be written loses the error line, not the exit code."""
+
+    @NEEDS_DEV_FULL
+    @pytest.mark.parametrize("argv, stdout_full, code", [
+        (["simulate", "--n", "5"], False, EXIT_DOMAIN),
+        (["simulate", "--n", "50"], True, EXIT_DOMAIN),  # stdout fails first, then stderr
+        (["table", "--id", "1b", "--reps", "1", "--paths", "5", "--n", "2000", "--seed", "1"],
+         False, EXIT_OVERFLOW),
+    ], ids=["domain", "domain-after-full-stdout", "overflow"])
+    def test_full_stderr_keeps_the_code(self, argv, stdout_full, code, tmp_path):
+        with open("/dev/full", "w") as full:
+            stdout = full if stdout_full else subprocess.DEVNULL
+            assert run_cli_process(argv, tmp_path, stdout, stderr=full) == (code, None)
+
+    def test_failed_check_with_full_stderr_exits_5(self, monkeypatch):
+        monkeypatch.setattr(oracles, "Z_THRESHOLD", 0.0)  # only the exact alpha = 0 checks pass
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(FullStream()):
+            assert main(["verify", "--seed", "1"]) == EXIT_VERIFY
+        assert json.loads(out.getvalue())["passed"] is False
 
 
 # --- the exit-code contract over generated argument vectors -------------------
@@ -474,9 +501,10 @@ def workdir(tmp_path_factory):
 def test_every_call_keeps_the_exit_code_contract(workdir, data):
     argv, csv_text = data.draw(cli_calls(workdir))
     stdout_fails = data.draw(st.booleans(), label="stdout_fails")  # for every command
+    stderr_fails = data.draw(st.booleans(), label="stderr_fails")
     if csv_text is not None:
         (workdir / "path.csv").write_text(csv_text)
-    code, _ = main_keeping_contract(argv, stdout_fails)
+    code, _ = main_keeping_contract(argv, stdout_fails, stderr_fails)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_OVERFLOW, EXIT_VERIFY)
     if stdout_fails and code == EXIT_OK:
         assert "--out" in argv  # a success with a failing stdout wrote to a file

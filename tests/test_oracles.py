@@ -27,12 +27,12 @@ def stat_params(**kw):
 
 class TestClosedForms:
     def test_mean_sigma2_fixture(self):
-        chk = check_mean_sigma2(0.5, 0.9, 3)
+        chk = check_mean_sigma2(0.5, 0.9, 3, seed=101)
         assert chk["closed_form"] == pytest.approx(math.exp(0.25 * 1.23305), rel=1e-5)
         assert chk["passed"]
 
     def test_fourth_moment_fixture(self):
-        chk = check_fourth_moment(0.5, 0.5, 2)
+        chk = check_fourth_moment(0.5, 0.5, 2, seed=202)
         assert chk["closed_form"] == pytest.approx(math.exp(0.625), rel=1e-12)
         assert chk["passed"]
 
@@ -40,14 +40,14 @@ class TestClosedForms:
         # worst grid point is drawn from z in [-2, 2]; the closed form at
         # z = 1, phi = 0.9, alpha = 0.5 is exp(1.025)
         assert math.exp(0.9 * 1.0 + 0.125) == pytest.approx(2.7870954605658507, rel=1e-12)
-        assert check_conditional_mean(0.5, 0.9)["passed"]
+        assert check_conditional_mean(0.5, 0.9, seed=404)["passed"]
 
     def test_cross_moment_passes(self):
-        assert check_cross_moment(0.5, 0.9, 2, 4)["passed"]
+        assert check_cross_moment(0.5, 0.9, 2, 4, seed=303)["passed"]
 
     def test_cross_moment_order_guard(self):
         with pytest.raises(DomainError):
-            check_cross_moment(0.5, 0.9, 4, 2)
+            check_cross_moment(0.5, 0.9, 4, 2, seed=303)
 
 
 class TestDegenerateAlpha:
@@ -57,10 +57,10 @@ class TestDegenerateAlpha:
 
         monkeypatch.setattr(np.random, "Philox", no_philox)
         for chk in [
-            check_mean_sigma2(0.0, 0.9, 3),
-            check_fourth_moment(0.0, 0.9, 3),
-            check_cross_moment(0.0, 0.9, 2, 4),
-            check_conditional_mean(0.0, 0.9),
+            check_mean_sigma2(0.0, 0.9, 3, seed=101),
+            check_fourth_moment(0.0, 0.9, 3, seed=202),
+            check_cross_moment(0.0, 0.9, 2, 4, seed=303),
+            check_conditional_mean(0.0, 0.9, seed=404),
         ]:
             assert chk["z_score"] == 0.0
             assert chk["mc_estimate"] == chk["closed_form"]
@@ -80,21 +80,21 @@ class TestSuite:
 class TestConvergenceChecks:
     def test_eq6_needs_grid(self):
         with pytest.raises(DomainError):
-            check_eq6_convergence([stat_params()])
+            check_eq6_convergence([stat_params()], seed=505)
 
     def test_eq6_regime_guard(self):
         bad = ModelParams(c=0.5, d=1.0, alpha=0.0, n=300,
                           kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
         with pytest.raises(DomainError):
-            check_eq6_convergence([bad, bad])
+            check_eq6_convergence([bad, bad], seed=505)
 
     def test_wnvn_passes_at_reference_point(self):
         p = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
                         kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
-        result = check_wnvn(p)
+        result = check_wnvn(p, seed=606)
         assert result["passed"]
         assert {c["name"] for c in result["checks"]} == {"var_W", "var_V", "corr_WV"}
 
     def test_wnvn_regime_guard(self):
         with pytest.raises(DomainError):
-            check_wnvn(stat_params())
+            check_wnvn(stat_params(), seed=606)

@@ -135,6 +135,15 @@ class TestVolatilityScales:
         assert dispersion(phi, 1) == pytest.approx(0.5, rel=1e-14)
         assert dispersion(phi, 10**9) == pytest.approx(1.0 / (2.0 * (1.0 - phi**2)), rel=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9, 0.95, 1.0 - 1e-5])
+    def test_dispersion_array_matches_scalar_calls(self, phi):
+        # (0.9, 2) is where np.expm1 rounds 1 ulp away from libm's expm1
+        t = np.arange(1, 1001)
+        got = dispersion(phi, t)
+        assert got.dtype == np.float64 and got.shape == t.shape
+        assert [a.hex() for a in got.tolist()] == [dispersion(phi, int(s)).hex() for s in t]
+        assert type(dispersion(phi, 2)) is float
+
     def test_dispersion_and_x_fixtures(self):
         # A_3 at phi = 0.9 is (1 - 0.9^6) / (2 (1 - 0.81)) = 1.23305, and
         # E[sigma_3^2] = exp(alpha^2 A_3)
@@ -164,8 +173,7 @@ class TestVolatilityScales:
                 continue
             p = stat_params(n=n, alpha=alpha, d=d, rn=rn)
             phi = phi_n(p)
-            t = np.arange(1, n + 1, dtype=float)
-            A_t = -np.expm1(2.0 * t * math.log(phi)) / (2.0 * (1.0 - phi * phi))
+            A_t = dispersion(phi, np.arange(1, n + 1))
             want = float(logsumexp(alpha**2 * A_t) - math.log(n))
             assert scales(p).log_m_n.hex() == want.hex(), (alpha, d, rn)
 
