@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -44,32 +45,20 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--z0", type=float, default=0.0)
 
 
+# ModelParams' fields in record order, each with its CLI parser and printer:
+# the rate sequences and the regime have a notation, the rest pass as they are
+_SPEC = (SequenceSpec.parse, SequenceSpec.label)
+_AS_IS = (lambda v: v, lambda v: v)
+_NOTATIONS = {"kn": _SPEC, "rn": _SPEC, "regime": (Regime, lambda r: r.value)}
+_FIELDS = [(f.name, *_NOTATIONS.get(f.name, _AS_IS)) for f in dataclasses.fields(ModelParams)]
+
+
 def _params_from(args) -> ModelParams:
-    return ModelParams(
-        c=args.c,
-        d=args.d,
-        alpha=args.alpha,
-        n=args.n,
-        kn=SequenceSpec.parse(args.kn),
-        rn=SequenceSpec.parse(args.rn),
-        regime=Regime(args.regime),
-        y0=args.y0,
-        z0=args.z0,
-    )
+    return ModelParams(**{name: parse(getattr(args, name)) for name, parse, _ in _FIELDS})
 
 
 def _params_meta(params: ModelParams) -> dict:
-    return {
-        "c": params.c,
-        "d": params.d,
-        "alpha": params.alpha,
-        "n": params.n,
-        "kn": params.kn.label(),
-        "rn": params.rn.label(),
-        "regime": params.regime.value,
-        "y0": params.y0,
-        "z0": params.z0,
-    }
+    return {name: show(getattr(params, name)) for name, _, show in _FIELDS}
 
 
 def _write(text: str, path: str | None = None, stream: str = "stdout") -> None:
@@ -169,19 +158,9 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _sizes(args) -> dict:
-    """run_table's or table_params' size keywords for --n; none when it is not given."""
-    return {} if args.n is None else {"n_nearstat": args.n, "n_explosive": args.n}
-
-
 def cmd_table(args) -> int:
-    rows = montecarlo.run_table(
-        args.id,
-        **_sizes(args),
-        replications=args.reps,
-        paths_per_test=args.paths,
-        seed=args.seed,
-    )
+    rows = montecarlo.run_table(args.id, n_nearstat=args.n, n_explosive=args.n,
+                                replications=args.reps, paths_per_test=args.paths, seed=args.seed)
     lines = [f"{row.kn_label},{_FLOAT_FMT % row.mean_ks},{_FLOAT_FMT % row.acceptance}\n"
              for row in rows]
     _write("kn,mean_ks,acceptance\n" + "".join(lines), args.out)
@@ -195,7 +174,7 @@ _PANELS = {"left": ("2b", "pow:0.25"), "right": ("2a", "pow:0.5")}
 def cmd_hist(args) -> int:
     table_id, kn = _PANELS[args.panel]
     kn = SequenceSpec.parse(kn if args.kn is None else args.kn)
-    params = montecarlo.table_params(table_id, kn, **_sizes(args))
+    params = montecarlo.table_params(table_id, kn, args.n)
     spec = montecarlo.ExperimentSpec(params, paths_per_test=args.paths, replications=1,
                                      seed=args.seed)
     record = montecarlo.emit_histogram(spec, bins=args.bins)

@@ -156,6 +156,8 @@ def simulate_batch(
         sigma2[:, 0] = params.z0
         _recur(sigma2, eta, phi)
         np.exp(sigma2, out=sigma2)
+        if sigma2[0, 0] == np.inf:  # sigma2_0 reaches no u, so the check of y misses it
+            raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
         u = eps
         u *= np.sqrt(sigma2[:, 1:], out=eta)
         _recur(y, u, rho)

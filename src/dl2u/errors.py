@@ -12,10 +12,6 @@ class DomainError(ValueError):
     """Parameter combination outside the model's admissible domain."""
 
 
-class DegeneratePathError(DomainError):
-    """All-zero regressor: the OLS denominator vanishes."""
-
-
 class NumericOverflowError(ArithmeticError):
     """A quantity left the representable range even after log-space rescaling."""
 

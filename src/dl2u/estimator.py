@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import SimulatedPath
-from .errors import DegeneratePathError, DomainError, NumericOverflowError
+from .errors import DomainError, NumericOverflowError
 from .ks import TargetLaw
 from .sequences import ModelParams, Regime, VolatilityScales, eval_sequence, rho_n
 
@@ -64,7 +64,7 @@ def ols_rho(y) -> OlsResult:
     lag = y[:-1]
     den = float(lag @ lag)
     if den < _DEGENERATE_DENOM:
-        raise DegeneratePathError("degenerate path: sum of squared lags is zero")
+        raise DomainError("degenerate path: sum of squared lags is zero")
     return OlsResult(numerator=float(lag @ y[1:]), denominator=den)
 
 

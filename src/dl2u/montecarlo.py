@@ -132,12 +132,12 @@ def _table(table_id: str) -> tuple:
     return _TABLES[table_id]
 
 
-def table_params(
-    table_id: str, kn: SequenceSpec, n_nearstat: int = N_NEARSTAT, n_explosive: int = N_EXPLOSIVE
-) -> ModelParams:
-    """The model of table `table_id` at persistence k_n, with n set by its regime."""
+def table_params(table_id: str, kn: SequenceSpec, n: int | None = None) -> ModelParams:
+    """The model of table `table_id` at persistence k_n and size n; n = None is the
+    table's own size, N_NEARSTAT or N_EXPLOSIVE by its regime."""
     c, alpha, regime, _ = _table(table_id)
-    n = n_nearstat if regime is Regime.NEAR_STATIONARY else n_explosive
+    if n is None:
+        n = N_NEARSTAT if regime is Regime.NEAR_STATIONARY else N_EXPLOSIVE
     return ModelParams(c=c, d=1.0, alpha=alpha, n=n, kn=kn, regime=regime)
 
 
@@ -156,17 +156,19 @@ def _row_seed(seed: int, row: int) -> int:
 
 def run_table(
     table_id: str,
-    n_nearstat: int = N_NEARSTAT,
-    n_explosive: int = N_EXPLOSIVE,
+    n_nearstat: int | None = None,
+    n_explosive: int | None = None,
     replications: int = REPLICATIONS,
     paths_per_test: int = PATHS_PER_TEST,
     seed: int = 0,
 ) -> list[TableRow]:
-    """Reproduce one table: a KS summary per mean-persistence row."""
+    """Reproduce one table: a KS summary per mean-persistence row.  The rows
+    take the size given for the table's regime; None is the table's own size."""
     dgp.RngSeed(seed)  # a seed outside [0, 2^64) is an error, not spread modulo 2^64
+    n = n_nearstat if _table(table_id)[2] is Regime.NEAR_STATIONARY else n_explosive
     rows = []
     for i, (label, kn) in enumerate(table_kn_rows(table_id)):
-        params = table_params(table_id, kn, n_nearstat, n_explosive)
+        params = table_params(table_id, kn, n)
         spec = ExperimentSpec(
             params=params,
             paths_per_test=paths_per_test,

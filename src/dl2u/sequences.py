@@ -98,17 +98,18 @@ class Regime(Enum):
     MILDLY_EXPLOSIVE = "expl"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
-    """Full parameterization of the double near-unit-root data generator."""
+    """Full parameterization of the double near-unit-root data generator; every
+    `params` record the CLI writes lists these fields, in this order."""
 
     c: float
     d: float
     alpha: float
     n: int
     kn: SequenceSpec
-    regime: Regime
     rn: SequenceSpec = field(default_factory=lambda: SequenceSpec(SequenceKind.LOG_OF_N))
+    regime: Regime
     y0: float = 0.0
     z0: float = 0.0
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -21,6 +22,7 @@ from dl2u.cli import (
     build_parser, main,
 )
 from dl2u.dgp import SimulatedPath
+from dl2u.sequences import ModelParams
 
 
 def run(capsys, *argv):
@@ -114,6 +116,30 @@ class TestEstimate:
         report = json.loads(stdout)
         assert report["pivot"]["kind"] == "S"
         assert report["target"] == "Cauchy(0,1)"
+
+
+RECORD_KEYS = ["c", "d", "alpha", "n", "kn", "rn", "regime", "y0", "z0"]
+
+
+class TestModelFields:
+    """`ModelParams`' fields are the one list of the model: records and flags follow it."""
+
+    def test_params_records_list_the_fields_in_order(self, tmp_path, capsys):
+        assert [f.name for f in dataclasses.fields(ModelParams)] == RECORD_KEYS
+        out = tmp_path / "path.csv"
+        run(capsys, "simulate", "--n", "50", "--rn", "pow:0.5", "--out", str(out))
+        meta = json.loads((tmp_path / "path.csv.meta.json").read_text())
+        code, stdout, _ = run(capsys, "estimate", str(out), "--n", "50", "--rn", "pow:0.5")
+        assert code == EXIT_OK
+        assert list(meta["params"]) == list(json.loads(stdout)["params"]) == RECORD_KEYS
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["estimate", "path.csv"]])
+    def test_every_field_has_a_flag(self, argv):
+        defaults = vars(build_parser().parse_args(argv))
+        for f in dataclasses.fields(ModelParams):
+            # an undefined flag would exit 2 here, and a missing dest raise KeyError
+            args = build_parser().parse_args([*argv, f"--{f.name}={defaults[f.name]}"])
+            assert getattr(args, f.name) == defaults[f.name]
 
 
 class TestTable:
@@ -287,6 +313,9 @@ class TestParser:
         (["hist", "--n", "16", "--kn", "const:1e300", "--paths", "1"], EXIT_DOMAIN,
          "cannot bin the pivots"),
         (["simulate", "--n", "50", "--alpha", "1e300"], EXIT_OVERFLOW, "y overflowed"),
+        # sigma2_0 = exp(z0) reaches no u, so y stays finite
+        (["simulate", "--n", "5", "--z0", "1000", "--alpha", "0.5", "--rn", "lin"], EXIT_OVERFLOW,
+         "sigma2"),
         (["estimate", "huge.csv", "--n", "3"], EXIT_OVERFLOW, "huge.csv overflow"),
         # the target law is checked before the pivot's finiteness
         (["estimate", "huge.csv", "--n", "3", "--c", "0"], EXIT_DOMAIN,
@@ -327,7 +356,8 @@ class TestParser:
             "csv-u-infinite", "simulate-out-missing-dir", "table-out-missing-dir",
             "hist-out-missing-dir", "simulate-out-full-disk", "table-out-full-disk",
             "hist-out-full-disk", "verify-negative-seed", "verify-wnvn-base-too-large",
-            "hist-one-huge-pivot", "simulate-huge-alpha", "csv-squares-overflow",
+            "hist-one-huge-pivot", "simulate-huge-alpha", "simulate-z0-sigma2-overflow",
+            "csv-squares-overflow",
             "csv-overflow-with-c-zero", "near-stationary-scale-overflow",
             "hist-huge-pivots-no-warning", "table-negative-seed", "table-seed-2-to-the-64",
             "hist-n-zero", "hist-kn-empty", "simulate-out-empty", "simulate-n-1e15",

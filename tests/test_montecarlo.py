@@ -262,13 +262,14 @@ class TestTables:
 
     def test_table_params(self):
         kn = SequenceSpec.parse("pow:0.5")
-        got = [table_params(tid, kn, n_nearstat=400, n_explosive=200) for tid in TABLE_IDS]
+        got = [table_params(tid, kn) for tid in TABLE_IDS]
         assert [(p.c, p.d, p.alpha, p.n, p.kn, p.regime) for p in got] == [
-            (1.0, 1.0, 0.0, 400, kn, Regime.NEAR_STATIONARY),
-            (0.5, 1.0, 0.0, 200, kn, Regime.MILDLY_EXPLOSIVE),
-            (0.5, 1.0, 0.5, 200, kn, Regime.MILDLY_EXPLOSIVE),
-            (1.0, 1.0, 0.5, 400, kn, Regime.NEAR_STATIONARY),
+            (1.0, 1.0, 0.0, 1000, kn, Regime.NEAR_STATIONARY),
+            (0.5, 1.0, 0.0, 300, kn, Regime.MILDLY_EXPLOSIVE),
+            (0.5, 1.0, 0.5, 300, kn, Regime.MILDLY_EXPLOSIVE),
+            (1.0, 1.0, 0.5, 1000, kn, Regime.NEAR_STATIONARY),
         ]
+        assert [table_params(tid, kn, 400) for tid in TABLE_IDS] == [replace(p, n=400) for p in got]
 
     def test_unknown_table_id(self):
         with pytest.raises(DomainError):
