@@ -18,7 +18,9 @@ import numpy as np
 from .errors import DomainError, NumericOverflowError
 from .sequences import ModelParams, phi_n, rho_n
 
-__all__ = ["RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch"]
+__all__ = [
+    "RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch", "simulate_y",
+]
 
 _EPS_SERIES = 0
 _ETA_SERIES = 1
@@ -48,7 +50,9 @@ class RngSeed:
             raise DomainError("stream must be a 64-bit unsigned integer")
 
 
-def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarray, np.ndarray]:
+def draw_innovations(
+    params: ModelParams, base: int, streams, eps=None, eta=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw the (eps, eta) innovations of len(streams) paths, each of shape (B, n) at alpha > 0.
 
     Row j of series s is the Philox stream with 128-bit key
@@ -56,20 +60,22 @@ def draw_innovations(params: ModelParams, base: int, streams) -> tuple[np.ndarra
     never overlap.  One generator is re-keyed per row and series rather
     than rebuilt: a fresh key, counter and empty buffer give the same bits.
     At alpha = 0, eta is one writable row of zeros, shape (1, n): z's
-    recurrence needs no draws, and its one row serves every path.
+    recurrence needs no draws, and its one row serves every path.  Given
+    eps or eta, the series is written there instead, so a caller can draw
+    straight into columns 1..n of its (B, n+1) recurrence buffer.
     """
     RngSeed(base)  # validates the 64-bit range
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    eps = np.empty((B, n))
+    eps = np.empty((B, n)) if eps is None else eps
+    eta = np.empty((B if params.alpha > 0 else 1, n)) if eta is None else eta
     series = [(_EPS_SERIES, eps)]
     if params.alpha > 0:
-        eta = np.empty((B, n))
         series.append((_ETA_SERIES, eta))
     else:
-        eta = np.zeros((1, n))
+        eta.fill(0.0)
     for j, stream in enumerate(streams.tolist()):
         for counter_hi, out in series:
             bitgen.state = {
@@ -108,6 +114,9 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
     contiguous rows rather than strided columns; every element sees the
     same multiply and add, in the same order, as the column loop.  The row
     views and the float64 coefficient are built once, not per step.
+
+    shocks may be x[:, 1:] itself: the row is copied out whole, and each
+    tile's shocks are copied out before their columns of x are written.
     """
     B, n = shocks.shape
     if B == 1:
@@ -128,6 +137,42 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
         xt[0] = xt[T]
 
 
+def _shocks(params: ModelParams, base: int, streams, eps=None):
+    """Draw eps (into the given (B, n) array, if any) and form u = eps * sqrt(sigma2) there.
+
+    Returns (u, sigma2), with sigma2 of shape (rows of eta, n+1).  eta is
+    drawn into sigma2's columns 1..n, where z = phi z + eta recurs in place
+    and is exponentiated.  u is bitwise sqrt(sigma2) * eps.
+    """
+    phi = phi_n(params)
+    sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
+    u, _ = draw_innovations(params, base, streams, eps=eps, eta=sigma2[:, 1:])
+    sigma2[:, 0] = params.z0
+    # Huge alpha or z0 make inf or NaN here; y's finiteness is checked by _fill_y.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _recur(sigma2, sigma2[:, 1:], phi)
+        np.exp(sigma2, out=sigma2)
+        if sigma2[0, 0] == np.inf:  # sigma2_0 reaches no u, so the check of y misses it
+            raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
+        u *= np.sqrt(sigma2[:, 1:])
+    return u, sigma2
+
+
+def _fill_y(y: np.ndarray, u, rho: float, params: ModelParams, base: int, streams) -> None:
+    """Fill y from y0 by y = rho y + u (u may be y[:, 1:]); raise if any y is not finite."""
+    y[:, 0] = params.y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _recur(y, u, rho)
+    # A non-finite y[t] stays non-finite through rho * y[t] + u[t] (0 * inf is
+    # NaN), so the last column decides; the full scan only locates the fault.
+    if not np.all(np.isfinite(y[:, -1])):
+        j_bad, t_bad = np.argwhere(~np.isfinite(y))[0]
+        raise NumericOverflowError(
+            f"y overflowed at index t={t_bad} (seed base={base}, "
+            f"stream={streams[j_bad]}); n log rho = {params.n * np.log(rho):g}"
+        )
+
+
 def simulate_batch(
     params: ModelParams, base: int, streams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,37 +185,25 @@ def simulate_batch(
     one row every path shares.
     """
     streams = np.asarray(streams, dtype=np.uint64)
-    B, n = len(streams), params.n
     rho = rho_n(params)
-    phi = phi_n(params)
-
-    y = np.empty((B, n + 1))
-    y[:, 0] = params.y0
-    # Huge alpha, z0 or rho_n make inf or NaN below; y's finiteness is checked at the end.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # z = phi z + eta and y = rho y + u are the only recurrences; z runs
-        # in sigma2 and is exponentiated there.  u is formed in eps's memory
-        # as eps * sqrt(sigma2), which is bitwise sqrt(sigma2) * eps.
-        eps, eta = draw_innovations(params, base, streams)
-        sigma2 = np.empty((len(eta), n + 1))
-        sigma2[:, 0] = params.z0
-        _recur(sigma2, eta, phi)
-        np.exp(sigma2, out=sigma2)
-        if sigma2[0, 0] == np.inf:  # sigma2_0 reaches no u, so the check of y misses it
-            raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
-        u = eps
-        u *= np.sqrt(sigma2[:, 1:], out=eta)
-        _recur(y, u, rho)
-
-    # A non-finite y[t] stays non-finite through rho * y[t] + u[t] (0 * inf is
-    # NaN), so the last column decides; the full scan only locates the fault.
-    if not np.all(np.isfinite(y[:, -1])):
-        j_bad, t_bad = np.argwhere(~np.isfinite(y))[0]
-        raise NumericOverflowError(
-            f"y overflowed at index t={t_bad} (seed base={base}, "
-            f"stream={streams[j_bad]}); n log rho = {n * np.log(rho):g}"
-        )
+    u, sigma2 = _shocks(params, base, streams)
+    y = np.empty((len(streams), params.n + 1))  # after _shocks' transient sqrt(sigma2) is freed
+    _fill_y(y, u, rho, params, base, streams)
     return y, np.broadcast_to(sigma2, y.shape), u
+
+
+def simulate_y(params: ModelParams, base: int, streams) -> np.ndarray:
+    """simulate_batch's y alone, bit for bit and with its errors, in one (B, n+1) array.
+
+    eps is drawn into y's columns 1..n, u is formed there, and y recurs
+    over them in place.
+    """
+    streams = np.asarray(streams, dtype=np.uint64)
+    rho = rho_n(params)
+    y = np.empty((len(streams), params.n + 1))
+    _shocks(params, base, streams, eps=y[:, 1:])
+    _fill_y(y, y[:, 1:], rho, params, base, streams)
+    return y
 
 
 def simulate_path(params: ModelParams, seed: RngSeed) -> SimulatedPath:

@@ -105,7 +105,9 @@ def check_eq6_convergence(params_grid, seed: int) -> dict:
     """Normalized sum of squares drifting to 1/(2c) along an n-grid.
 
     Passes when the absolute error at the largest n is below the error at
-    the smallest n and within 15% of the 1/(2c) target.
+    the smallest n and within 15% of the 1/(2c) target.  Each grid point
+    holds one (EQ6_PATHS, n+1) array, y, which dgp.simulate_y draws u into
+    and recurs over in place.
     """
     if len(params_grid) < 2:
         raise DomainError("need at least two grid points")
@@ -114,7 +116,7 @@ def check_eq6_convergence(params_grid, seed: int) -> dict:
     entries = []
     for params in params_grid:
         vol = scales(params)
-        y, _, _ = dgp.simulate_batch(params, seed, np.arange(EQ6_PATHS, dtype=np.uint64))
+        y = dgp.simulate_y(params, seed, np.arange(EQ6_PATHS, dtype=np.uint64))
         stats = normalized_sum_squares(y, params, vol)
         target = 1.0 / (2.0 * params.c)
         entries.append({"n": params.n, "mean": float(stats.mean()),
@@ -132,7 +134,9 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     """Variances of the explosive auxiliary sums vs 1/(2c), correlation vs 0.
 
     W_n weights innovations by rho^-j, V_n by rho^-(n-j+1); the limit is an
-    independent N(0, 1/(2c)) pair.
+    independent N(0, 1/(2c)) pair.  Only u is read; the batch holds y,
+    sigma2 and u, each about (WNVN_PATHS, n), and a transient sqrt(sigma2),
+    which in dl2u verify is less than eq6's one y at n = 10000.
     """
     if params.regime is not Regime.MILDLY_EXPLOSIVE:
         raise DomainError("W/V check is explosive-regime only")

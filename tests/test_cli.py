@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import os
@@ -203,6 +204,16 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert err == "verification failure: one or more oracle checks failed\n"
         assert json.loads(out)["passed"] is False
+
+    # SHA-256 of the report: every oracle simulation keeps every bit of every seed
+    @pytest.mark.parametrize("seed, digest", [
+        ("707", "ea27f661e9de0527c55594551b3a0c015031afede309e29ab28793ef9efc8fc8"),
+        ("1", "05658385f5b831c10cf7f7dcce4b94db017e6abec15347a3a718c50e9efd61b2"),
+    ])
+    def test_report_digest(self, capsys, seed, digest):
+        code, out, _ = run(capsys, "verify", "--seed", seed)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counters")
     def test_steady_state_takes_no_page_faults(self, capsys):

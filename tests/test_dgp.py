@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dl2u.dgp import RngSeed, _recur, draw_innovations, simulate_batch, simulate_path
+from dl2u import montecarlo, oracles
+from dl2u.dgp import RngSeed, _recur, draw_innovations, simulate_batch, simulate_path, simulate_y
 from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, phi_n, rho_n
 
@@ -155,6 +156,17 @@ class TestTiles:
         _recur(x, np.array([[0.25], [3.0]]), 0.5)
         assert x[:, 1].tolist() == [1.5, 2.5]
 
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_shocks_may_be_the_filled_columns(self, B):
+        # B = 1 runs the float loop and B = 2 the tiles; n = 130 ends in a partial tile
+        rng = np.random.default_rng(130)
+        x0, shocks = rng.standard_normal(B), rng.standard_normal((B, 130))
+        apart, in_place = np.empty((B, 131)), np.empty((B, 131))
+        apart[:, 0] = in_place[:, 0] = x0
+        in_place[:, 1:] = shocks
+        _recur(apart, shocks, 0.97)
+        _recur(in_place, in_place[:, 1:], 0.97)
+        assert in_place.tobytes() == apart.tobytes()
 
     # (x0, shocks, coef) of one row; n = 130 spans three tiles of the B > 1 path
     ONE_ROW_CASES = {
@@ -207,6 +219,14 @@ class TestOverflow:
             simulate_path(self.P, RngSeed(2, streams[0]))
         assert str(single.value) == str(batch.value)
 
+    @pytest.mark.parametrize("params", [P, stat_params(z0=710.0)], ids=["y", "sigma2_0"])
+    def test_y_alone_raises_as_the_batch(self, params):
+        with pytest.raises(NumericOverflowError) as batch:
+            simulate_batch(params, 0, [0, 1, 2])
+        with pytest.raises(NumericOverflowError) as alone:
+            simulate_y(params, 0, [0, 1, 2])
+        assert str(alone.value) == str(batch.value)
+
 
 # SHA-256 of simulate_batch's (y, sigma2, u) as <f8 bytes.  Existing seeds
 # must keep reproducing existing paths; each case reaches inputs that the
@@ -236,24 +256,50 @@ class TestGolden:
         got = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
         assert got.hexdigest() == digest
 
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_y_alone_matches_the_batch(self, case):
+        kw, base, streams, _ = GOLDEN_CASES[case]
+        p = stat_params(**kw)
+        y, _, _ = simulate_batch(p, base, streams)
+        assert simulate_y(p, base, streams).tobytes() == y.tobytes()
+
+
+def traced_peak(call, *args) -> int:
+    """tracemalloc's peak, in bytes, over call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestMemory:
+    # Bounds are in (B, n+1) float64 arrays.  u is formed in eps's memory and
+    # eta is drawn into sigma2's; the recurrence tiles add 2 * 64 + 1 rows of B.
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_traced_peak_counts_only_live_arrays(self, alpha):
-        # The (B, n)-sized arrays are y and eps at alpha = 0 (eta and sigma2
-        # are one row each), and y, sigma2, eps and eta at alpha > 0 (u is
-        # formed in eps, and sqrt(sigma2) in eta).  The recurrence tiles
-        # add 0.13 of an array at n = 1000.
+        # At alpha = 0: y and u, as sigma2 is one row.  At alpha > 0: u, sigma2
+        # and a transient sqrt(sigma2), then y, u and sigma2, with the tiles
+        # (0.13 of an array at n = 1000).
         B, n = 500, 1000
-        p = stat_params(alpha=alpha, n=n)
-        tracemalloc.start()
-        try:
-            simulate_batch(p, 5, np.arange(B, dtype=np.uint64))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        arrays = 4.25 if alpha > 0 else 2.25
+        peak = traced_peak(simulate_batch, stat_params(alpha=alpha, n=n), 5,
+                           np.arange(B, dtype=np.uint64))
+        arrays = 3.25 if alpha > 0 else 2.25
         assert peak <= arrays * 8 * B * (n + 1)
+
+    def test_verify_eq6_holds_only_y(self):
+        # verify's grid and seed; the n = 1000 point adds 0.1 and the tiles 0.013
+        grid = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
+                for n in (montecarlo.N_NEARSTAT, 10000)]
+        peak = traced_peak(oracles.check_eq6_convergence, grid, 708)
+        assert peak <= 1.25 * 8 * oracles.EQ6_PATHS * 10001
+
+    def test_verify_wn_vn_holds_one_batch(self):
+        # verify's params and seed: y, u and sigma2 at n = 300, and the tiles (0.43)
+        params = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
+        peak = traced_peak(oracles.check_wnvn, params, 709)
+        assert peak <= 3.5 * 8 * oracles.WNVN_PATHS * (params.n + 1)
 
 
 class TestReuse:
