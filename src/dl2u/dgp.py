@@ -57,8 +57,8 @@ def draw_innovations(
 
     Row j of series s is the Philox stream with 128-bit key
     (base, streams[j]) started at counter s << 192, so disjoint series can
-    never overlap.  One generator is re-keyed per row and series rather
-    than rebuilt: a fresh key, counter and empty buffer give the same bits.
+    never overlap.  One generator is re-keyed per row and series by assigning
+    one state dict with that key and counter: the same bits as a fresh one.
     At alpha = 0, eta is one writable row of zeros, shape (1, n): z's
     recurrence needs no draws, and its one row serves every path.  Given
     eps or eta, the series is written there instead, so a caller can draw
@@ -68,25 +68,23 @@ def draw_innovations(
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
     bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
+    normal = np.random.Generator(bitgen).standard_normal
     eps = np.empty((B, n)) if eps is None else eps
     eta = np.empty((B if params.alpha > 0 else 1, n)) if eta is None else eta
-    series = [(_EPS_SERIES, eps)]
+    series = [((0, 0, 0, _EPS_SERIES), eps)]
     if params.alpha > 0:
-        series.append((_ETA_SERIES, eta))
+        series.append(((0, 0, 0, _ETA_SERIES), eta))
     else:
         eta.fill(0.0)
+    philox = {"key": None, "counter": None}
+    state = {"bit_generator": "Philox", "state": philox, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for j, stream in enumerate(streams.tolist()):
-        for counter_hi, out in series:
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"key": (base, stream), "counter": (0, 0, 0, counter_hi)},
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=out[j])
+        philox["key"] = (base, stream)
+        for counter, out in series:
+            philox["counter"] = counter
+            bitgen.state = state
+            normal(out=out[j])
     eta *= params.alpha
     return eps, eta
 
@@ -112,8 +110,9 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
     More rows run time-major over tiles of _TILE steps in contiguous
     (T+1, B) and (T, B) buffers, so each step is two ufunc calls over
     contiguous rows rather than strided columns; every element sees the
-    same multiply and add, in the same order, as the column loop.  The row
-    views and the float64 coefficient are built once, not per step.
+    same multiply and add, in the same order, as the column loop.  Steps
+    call local names with a positional out and a 0-d float64 coefficient,
+    built once like the row views, which trims per-call argument handling.
 
     shocks may be x[:, 1:] itself: the row is copied out whole, and each
     tile's shocks are copied out before their columns of x are written.
@@ -125,14 +124,15 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
         return
     xt = np.empty((_TILE + 1, B))
     st = np.empty((_TILE, B))
-    x_rows, shock_rows, coef = list(xt), list(st), np.float64(coef)
+    x_rows, shock_rows, coef = list(xt), list(st), np.array(coef, dtype=np.float64)
+    multiply, add = np.multiply, np.add
     xt[0] = x[:, 0]
     for t0 in range(0, n, _TILE):
         T = min(_TILE, n - t0)
         st[:T] = shocks[:, t0 : t0 + T].T
         for t in range(T):
-            np.multiply(x_rows[t], coef, out=x_rows[t + 1])
-            np.add(x_rows[t + 1], shock_rows[t], out=x_rows[t + 1])
+            multiply(x_rows[t], coef, x_rows[t + 1])
+            add(x_rows[t + 1], shock_rows[t], x_rows[t + 1])
         x[:, t0 + 1 : t0 + T + 1] = xt[1 : T + 1].T
         xt[0] = xt[T]
 

@@ -23,6 +23,12 @@ def stat_params(**kw):
     return ModelParams(**base)
 
 
+def fresh_normals(base, stream, series, n):
+    """The first n normals of a newly built Philox generator at this address."""
+    bitgen = np.random.Philox(key=base | stream << 64, counter=series << 192)
+    return np.random.Generator(bitgen).standard_normal(n)
+
+
 class TestRngSeed:
     def test_validates_64_bit_range(self):
         RngSeed(2**64 - 1, 2**64 - 1)
@@ -65,14 +71,39 @@ class TestDeterminism:
         else:
             assert eta.shape == (len(streams), p.n)
         for j, s in enumerate(streams):
-            fresh_eps, fresh_eta = (
-                np.random.Generator(np.random.Philox(key=base | s << 64, counter=series << 192))
-                .standard_normal(p.n)
-                for series in (0, 1)
-            )
-            assert np.array_equal(eps[j], fresh_eps)
+            assert np.array_equal(eps[j], fresh_normals(base, s, 0, p.n))
             if alpha > 0:
-                assert np.array_equal(eta[j], alpha * fresh_eta)
+                assert np.array_equal(eta[j], alpha * fresh_normals(base, s, 1, p.n))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-other-call"])
+    @pytest.mark.parametrize("n", [3, 17, 65])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_no_state_carries_over(self, alpha, n, warm):
+        # The reused state dict is rewritten in place per row and series:
+        # repeated and out-of-order streams, and an earlier call with another
+        # base and stream set, must not leak a key, counter or buffered draw.
+        p = stat_params(alpha=alpha, n=n)
+        base, streams = 12345, [5, 0, 5, 2**64 - 1]
+        if warm:
+            draw_innovations(stat_params(alpha=0.5, n=n + 2), 2**64 - 1, [7, 2**63, 1])
+        eps, eta = draw_innovations(p, base, streams)
+        for j, s in enumerate(streams):
+            assert np.array_equal(eps[j], fresh_normals(base, s, 0, n))
+            assert np.array_equal(eta[j if alpha > 0 else 0], alpha * fresh_normals(base, s, 1, n))
+
+    def test_one_generator_per_batch(self, monkeypatch):
+        made = {"Philox": 0, "Generator": 0}
+
+        def counted(cls):
+            def build(*args, **kwargs):
+                made[cls.__name__] += 1
+                return cls(*args, **kwargs)
+            return build
+
+        for name in made:
+            monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+        simulate_batch(stat_params(n=20), 3, range(500))
+        assert made == {"Philox": 1, "Generator": 1}
 
     def test_streams_are_distinct(self):
         p = stat_params()
