@@ -67,7 +67,7 @@ def draw_innovations(
     RngSeed(base)  # validates the 64-bit range
     streams = np.asarray(streams, dtype=np.uint64)
     B, n = len(streams), params.n
-    bitgen = np.random.Philox()
+    bitgen = np.random.Philox(0)  # seeded: reads no OS entropy
     normal = np.random.Generator(bitgen).standard_normal
     eps = np.empty((B, n)) if eps is None else eps
     eta = np.empty((B if params.alpha > 0 else 1, n)) if eta is None else eta

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# any float64: NaN, +-inf, +-0.0, subnormals and +-1e308 each get a share of the draws
+ANY_FLOAT = st.floats(width=64) | st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308])
+STAT_1000 = ["--n", "1000", "--c", "1", "--alpha", "0.5", "--kn", "pow:0.25", "--regime", "stat"]
+EXPL_300 = ["--n", "300", "--c", "0.5", "--alpha", "0.5", "--kn", "pow:0.5", "--regime", "expl"]
 
 
 class TestSimulate:
@@ -59,19 +67,44 @@ class TestSimulate:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert np.array_equal(data["y"], path.y)  # 17 significant digits
 
-    def test_csv_bytes_match_the_row_loop(self):
-        # the per-row writer that the one-write writer replaced, as the reference
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.integers(1, 64).flatmap(lambda n: st.tuples(*(
+        st.lists(ANY_FLOAT, min_size=size, max_size=size) for size in (n + 1, n + 1, n)))),
+           chunk_rows=st.sampled_from([1, 3, 64]))
+    def test_csv_bytes_match_the_row_loop(self, columns, chunk_rows):
+        # the per-row writer that the chunked `%` writer replaced, as the reference;
+        # smaller chunks give paths of many chunks and a partial last one
         def row_loop(path, out):
             out.write("t,y,sigma2,u\n")
             for t in range(len(path.y)):
                 u = "%.17g" % path.u[t - 1] if t >= 1 else ""
                 out.write(f"{t},{'%.17g' % path.y[t]},{'%.17g' % path.sigma2[t]},{u}\n")
 
-        cells = np.array([0.0, -0.0, 5e-324, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
-        path = SimulatedPath(y=cells, sigma2=cells[::-1].copy(), u=-cells[1:])
+        path = SimulatedPath(*map(np.array, columns))
         want = io.StringIO()
         row_loop(path, want)
-        assert _csv_text(path) == want.getvalue()
+        with mock.patch.object(cli, "_CSV_ROWS", chunk_rows):
+            assert _csv_text(path) == want.getvalue()
+
+    # SHA-256 of the CSV and the sidecar that `simulate --out` wrote with the
+    # per-row writer, for both regimes of the benchmark's inspect workload
+    @pytest.mark.parametrize("model, seed, csv_sha, meta_sha", [
+        (STAT_1000, 11, "fc7bf268442d2e262efc8d559ba109c4ac9d6800de61374fe15f6402e038ecee",
+         "9aee3797ec26db38fde24b38ccd01a2a04edaec3a85d7e50f071765232da8609"),
+        (STAT_1000, 12, "223de1eecd1ed8c4a7a74e72ce8f0f3b8e3579f5ee6e4be8b48f0909dd59bea1",
+         "1db22e5dbd6ece0026389e970c3451c09a8f50295b45803e70624c189ceed6c1"),
+        (EXPL_300, 11, "1cb4624b4921016d7a6d03db0ea111747fc2865a2491b32517e7b10c0b84c217",
+         "c9d038619b1c6fa81132328915728a4159830abb977e25e2b6adf28334334c14"),
+        (EXPL_300, 12, "1bbc24ef9681fd18e040819bf61d2a804fe3f7ef9f9a5151b3390c44cb23ab81",
+         "2cd6b197d7a9dcf2610d046bb14ac49df6ad7ad691dd97612f838f86318a0db4"),
+    ])
+    def test_out_bytes_are_pinned(self, tmp_path, capsys, model, seed, csv_sha, meta_sha):
+        out = tmp_path / "path.csv"
+        code, _, _ = run(capsys, "simulate", *model, "--seed", str(seed), "--out", str(out))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        meta = tmp_path / "path.csv.meta.json"
+        assert hashlib.sha256(meta.read_bytes()).hexdigest() == meta_sha
 
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "5")
@@ -620,3 +653,44 @@ def test_reader_matches_genfromtxt(workdir, case, n_offset):
     for got, want in zip(_read_path_csv(str(path), n), expected):
         assert got.tobytes() == want.tobytes()
         assert got.strides == want.strides  # so dot products sum in the same order
+
+
+# --- the reader's edge cases that path_csv_texts does not generate ------------
+# Each text is a path of n = 3; the expected (y, u) or exit code is what the
+# line-by-line reader gave before the one-pass reader.
+
+EDGE_Y, EDGE_U = [1.5, 2.5, -3.0, 0.125], [0.25, 0.5, -1.0]
+EDGE_ROWS = ["t,y,sigma2,u", "0,1.5,1,", "1,2.5,1,0.25", "2,-3,1,0.5", "3,0.125,1,-1"]
+EDGE_CASES = {
+    "lone-cr": ("\r".join(EDGE_ROWS) + "\r", True),
+    "no-final-newline": ("\n".join(EDGE_ROWS), True),
+    "crlf-no-final-newline": ("\r\n".join(EDGE_ROWS), True),
+    "hash-glued-to-last-cell": ("\n".join(EDGE_ROWS).replace("0.25", "0.25#n") + "#\n", True),
+    "hash-after-header": ("\n".join(EDGE_ROWS).replace("u\n", "u# t, y, sigma2, u\n", 1), True),
+    "hash-inside-header": ("\n".join(EDGE_ROWS).replace("y", "y#", 1) + "\n", False),
+    "comment-only": ("# a\n#,,,\n \n", False),
+    "header-only": ("t,y,sigma2,u\n", False),
+}
+# A str.splitlines separator, but not a line end, in one of four places: after
+# y at t = 0 (read by float), after an unread sigma2 cell, after a u cell (read
+# by np.loadtxt) and inside a u cell; False where estimate exits 3.
+EDGE_SEPARATED = "t,y,sigma2,u\n0,1.5{0},1{1},\n1,2.5,1,0.25{2}\n2,-3,1,0.{3}5\n3,0.125,1,-1\n"
+EDGE_SEPARATORS = {"\x0b": (True, True, True, False), "\x0c": (True, True, True, False),
+                   "\x1c": (False, True, True, False), "\u2028": (True, True, True, False)}
+for sep, reads in EDGE_SEPARATORS.items():
+    for at, place in enumerate(["after-y0", "after-sigma2", "after-u", "inside-u"]):
+        text = EDGE_SEPARATED.format(*[sep if i == at else "" for i in range(4)])
+        EDGE_CASES[f"{ord(sep):#06x}-{place}"] = text, reads[at]
+
+
+@pytest.mark.parametrize("text, reads", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_reader_edge_cases(tmp_path, text, reads):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    code, _ = main_keeping_contract(["estimate", str(path), "--n", "3"])
+    assert code == (EXIT_OK if reads else EXIT_DOMAIN)
+    if reads:
+        y, u = _read_path_csv(str(path), 3)
+        assert y.tobytes() == np.array(EDGE_Y).tobytes()
+        assert u.tobytes() == np.array(EDGE_U).tobytes()
+        assert y.strides == u.strides == (32,)

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import random
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestDeterminism:
             monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
         simulate_batch(stat_params(n=20), 3, range(500))
         assert made == {"Philox": 1, "Generator": 1}
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_draws_read_no_os_entropy(self, monkeypatch, alpha):
+        # an unseeded Philox reaches os.urandom through SeedSequence and secrets.randbits
+        reads = []
+        urandom = random._urandom
+        monkeypatch.setattr(random, "_urandom", lambda size: reads.append(size) or urandom(size))
+        p = stat_params(n=20, alpha=alpha)
+        simulate_batch(p, 3, range(4))
+        simulate_y(p, 3, range(4))
+        simulate_path(p, RngSeed(3, 1))
+        assert reads == []
 
     def test_streams_are_distinct(self):
         p = stat_params()
