@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import re
 import sys
 from itertools import repeat
@@ -66,15 +68,25 @@ def _params_meta(params: ModelParams) -> dict:
 
 
 def _write(text: str, path: str | None = None, stream: str = "stdout") -> None:
-    """Write `text` to `path`, or to sys.`stream` and flush it there; any OSError exits 3."""
+    """Write `text` over `path`, or to sys.`stream` and flush it there; any OSError exits 3."""
     out = getattr(sys, stream)
     try:
         if path is None:
             out.write(text)
             out.flush()
         else:
-            with open(path, "w") as fh:
-                fh.write(text)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # open(path, "w") less O_TRUNC
+            try:
+                with open(fd, "w", closefd=False) as fh:
+                    fh.write(text)
+            finally:  # cut where the writes ended; a truncation to 0 makes ext4 flush at close
+                try:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                except OSError as exc:  # /dev/null (EINVAL) and pipes (ESPIPE) are left uncut
+                    if exc.errno not in (errno.EINVAL, errno.ESPIPE):
+                        raise
+                finally:
+                    os.close(fd)
     except OSError as exc:
         if path is None:  # close it: what a failed flush left buffered would fail again at exit
             with contextlib.suppress(OSError):
@@ -120,14 +132,14 @@ def _read_path_csv(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     if set(map(str.count, lines, repeat(","))) != {k - 1}:
         raise DomainError(f"{path} has a row whose length is not the header's {k}")
     not_finite = DomainError(f"{path} has a y or u value that is not a finite number")
+    row0 = lines[1].split(",")
+    lines[1] = ",".join(row0[:iu] + ["nan"] + row0[iu + 1 :])  # t = 0 has no u
     try:
-        y0 = float(lines[1].split(",")[iy])
-        rest = np.loadtxt(lines[2:], delimiter=",", usecols=(iy, iu), ndmin=2)
+        rows = np.loadtxt(lines[1:], delimiter=",", usecols=(iy, iu), ndmin=2)
     except ValueError:
         raise not_finite from None
     data = np.full((n + 1, k), np.nan)
-    data[0, iy] = y0
-    data[1:, [iy, iu]] = rest
+    data[:, [iy, iu]] = rows
     y, u = data[:, iy], data[1:, iu]
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(u))):
         raise not_finite

@@ -8,6 +8,8 @@ import json
 import os
 import re
 import shlex
+import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -435,17 +437,18 @@ STDOUT_CALLS = {
 }
 
 
-def run_cli_process(argv, cwd, stdout, stderr=subprocess.PIPE):
+def run_cli_process(argv, cwd, stdout, stderr=subprocess.PIPE, **options):
     """(exit code, stderr) of `dl2u argv` as a fresh process writing to the descriptor `stdout`.
 
     stdout is block-buffered, as by default, so a small report reaches the
     descriptor only when it is flushed.  stderr is None unless it is piped.
+    `options` go to `subprocess.run`.
     """
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH", "")])
     result = subprocess.run([sys.executable, "-m", "dl2u.cli", *argv], cwd=cwd, env=env,
-                            stdout=stdout, stderr=stderr, text=True)
+                            stdout=stdout, stderr=stderr, text=True, **options)
     return result.returncode, result.stderr
 
 
@@ -496,6 +499,145 @@ class TestStderrFailures:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(FullStream()):
             assert main(["verify", "--seed", "1"]) == EXIT_VERIFY
         assert json.loads(out.getvalue())["passed"] is False
+
+
+# each command that writes `--out`, at sizes that run in milliseconds
+OUT_CALLS = {
+    "simulate": ["simulate", "--n", "50", "--alpha", "0.5", "--seed", "3"],
+    "table": ["table", "--id", "2a", "--reps", "1", "--paths", "5", "--n", "50"],
+    "hist": ["hist", "--n", "50", "--paths", "20", "--bins", "10"],
+}
+
+
+def out_files(command, out):
+    """The files that `command --out out` writes: simulate adds its sidecar."""
+    return [out, Path(f"{out}.meta.json")] if command == "simulate" else [out]
+
+
+def write_out(command, out):
+    """The bytes of each file that `command --out out` writes."""
+    assert main([*OUT_CALLS[command], "--out", str(out)]) == EXIT_OK
+    return [f.read_bytes() for f in out_files(command, out)]
+
+
+class TestOutOverwrite:
+    """`--out` writes over an existing file in place and cuts it where the new text ends."""
+
+    @pytest.mark.parametrize("command", list(OUT_CALLS))
+    def test_old_bytes_leave_no_trace(self, tmp_path, command):
+        want = write_out(command, tmp_path / "fresh")
+        files = out_files(command, tmp_path / "out")
+        for old_size in [len(want[0]) + 5000, 3, len(want[0])]:  # longer, shorter, as long
+            for f in files:
+                f.write_bytes(b"x" * old_size)
+            assert write_out(command, tmp_path / "out") == want
+
+    @pytest.mark.parametrize("command", list(OUT_CALLS))
+    def test_existing_file_keeps_its_inode_and_mode(self, tmp_path, command):
+        files = out_files(command, tmp_path / "out")
+        for f in files:
+            f.write_bytes(b"x" * 100_000)
+            f.chmod(0o640)
+        inodes = [f.stat().st_ino for f in files]
+        write_out(command, tmp_path / "out")
+        assert [f.stat().st_ino for f in files] == inodes
+        assert [stat.S_IMODE(f.stat().st_mode) for f in files] == [0o640] * len(files)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_out("simulate", tmp_path / "out")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(f.stat().st_mode) for f in out_files("simulate", tmp_path / "out")]
+        assert modes == [0o666 & ~umask] * 2
+
+    @pytest.mark.parametrize("command", list(OUT_CALLS))
+    def test_links_see_the_new_text(self, tmp_path, command):
+        want = write_out(command, tmp_path / "fresh")[0]
+        target, link, second = tmp_path / "target", tmp_path / "link", tmp_path / "second"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        os.link(target, second)
+        write_out(command, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == second.read_bytes() == want
+
+    # not simulate: its sidecar would be /dev/null.meta.json
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    @pytest.mark.parametrize("command", ["table", "hist"])
+    def test_dev_null_is_written_uncut(self, command):
+        assert main([*OUT_CALLS[command], "--out", "/dev/null"]) == EXIT_OK
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_stdout_pipe_is_written_uncut(self, tmp_path):
+        read_end, write_end = os.pipe()
+        try:
+            code, err = run_cli_process([*OUT_CALLS["table"], "--out", "/dev/stdout"], tmp_path,
+                                        write_end)
+        finally:
+            os.close(write_end)
+        with open(read_end, "rb") as pipe:  # the table is far below a pipe's buffer
+            got = pipe.read()
+        assert (code, err) == (EXIT_OK, "")
+        assert got == write_out("table", tmp_path / "table.csv")[0]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
+    def test_failed_write_leaves_only_the_written_prefix(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        argv = ["simulate", *STAT_1000, "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == EXIT_OK
+        want = (tmp_path / "fresh").read_bytes()
+        assert len(want) > 20000
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 100_000)
+
+        def limit_file_size():  # writes past 20,000 bytes fail with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (20000, 20000))
+
+        code, err = run_cli_process([*argv, "--out", str(out)], tmp_path, subprocess.DEVNULL,
+                                    preexec_fn=limit_file_size)
+        assert code == EXIT_DOMAIN
+        assert err.startswith(f"domain error: cannot write {out}: [Errno 27]")
+        assert out.read_bytes() == want[:20000]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("error, code", [(errno.EINVAL, EXIT_OK), (errno.ESPIPE, EXIT_OK),
+                                             (errno.EIO, EXIT_DOMAIN)],
+                             ids=["EINVAL", "ESPIPE", "EIO"])
+    def test_only_a_target_that_cannot_be_cut_is_left_uncut(self, tmp_path, monkeypatch,
+                                                            error, code):
+        def cut(fd, length):
+            raise OSError(error, os.strerror(error))
+
+        monkeypatch.setattr(os, "ftruncate", cut)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main_keeping_contract([*OUT_CALLS["table"], "--out", str(tmp_path / "out")])[0] \
+            == code
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # closed, cut or not
+
+    @pytest.mark.parametrize("command", list(OUT_CALLS))
+    def test_existing_file_is_never_truncated_to_zero(self, tmp_path, command, monkeypatch):
+        # opened without O_TRUNC and cut once, at the new text's length: a truncation to
+        # zero makes ext4 flush the file when it is closed
+        want = write_out(command, tmp_path / "fresh")
+        files = out_files(command, tmp_path / "out")
+        for f in files:
+            f.write_bytes(b"x" * 100_000)
+        opened, cuts = [], []
+        real_open, real_ftruncate = os.open, os.ftruncate
+        monkeypatch.setattr(os, "open", lambda path, flags, *a, **kw: opened.append(
+            (str(path), flags)) or real_open(path, flags, *a, **kw))
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length)
+                            or real_ftruncate(fd, length))
+        got = write_out(command, tmp_path / "out")
+        monkeypatch.undo()
+        assert got == want
+        assert [path for path, _ in opened] == [str(f) for f in files]
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+        assert cuts == [len(b) for b in want]
 
 
 # --- the exit-code contract over generated argument vectors -------------------
@@ -672,11 +814,12 @@ EDGE_CASES = {
     "header-only": ("t,y,sigma2,u\n", False),
 }
 # A str.splitlines separator, but not a line end, in one of four places: after
-# y at t = 0 (read by float), after an unread sigma2 cell, after a u cell (read
-# by np.loadtxt) and inside a u cell; False where estimate exits 3.
+# y at t = 0, after an unread sigma2 cell, after a u cell and inside a u cell;
+# False where estimate exits 3.  np.loadtxt reads every y and u cell, so
+# "\x1c" after y at t = 0 reads as it does after u.
 EDGE_SEPARATED = "t,y,sigma2,u\n0,1.5{0},1{1},\n1,2.5,1,0.25{2}\n2,-3,1,0.{3}5\n3,0.125,1,-1\n"
 EDGE_SEPARATORS = {"\x0b": (True, True, True, False), "\x0c": (True, True, True, False),
-                   "\x1c": (False, True, True, False), "\u2028": (True, True, True, False)}
+                   "\x1c": (True, True, True, False), "\u2028": (True, True, True, False)}
 for sep, reads in EDGE_SEPARATORS.items():
     for at, place in enumerate(["after-y0", "after-sigma2", "after-u", "inside-u"]):
         text = EDGE_SEPARATED.format(*[sep if i == at else "" for i in range(4)])
