@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
     meta = {"command": "simulate", "params": _params_meta(params),
             "seed": {"base": seed.base, "stream": seed.stream}}
     _write(_csv_text(path), args.out)
-    if args.out is not None:
+    if args.out is not None and os.path.isfile(args.out):  # a device or FIFO gets no sidecar
         _write(json.dumps(meta, indent=2), args.out + ".meta.json")  # no final newline
     return EXIT_OK
 

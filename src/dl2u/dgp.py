@@ -91,11 +91,7 @@ def draw_innovations(
 
 @dataclass(frozen=True)
 class SimulatedPath:
-    """One realized trajectory: y and sigma2 of length n+1, u of length n.
-
-    sigma2 is a read-only view; at alpha = 0 it is the one volatility row
-    that every path of its batch shares.
-    """
+    """One realized trajectory: y and sigma2 of length n+1, u of length n."""
 
     y: np.ndarray
     sigma2: np.ndarray
@@ -137,15 +133,19 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
         xt[0] = xt[T]
 
 
-def _shocks(params: ModelParams, base: int, streams, eps=None):
+def _shocks(params: ModelParams, base: int, streams, eps=None, sigma2=None) -> np.ndarray:
     """Draw eps (into the given (B, n) array, if any) and form u = eps * sqrt(sigma2) there.
 
-    Returns (u, sigma2), with sigma2 of shape (rows of eta, n+1).  eta is
-    drawn into sigma2's columns 1..n, where z = phi z + eta recurs in place
-    and is exponentiated.  u is bitwise sqrt(sigma2) * eps.
+    eta is drawn into columns 1..n of sigma2, shape (rows of eta, n+1),
+    where z = phi z + eta recurs in place and is exponentiated.  Without a
+    sigma2 to fill and keep, sqrt(sigma2) is written over those columns and
+    the array is freed on return, so u is the one (B, n) array left.  u is
+    bitwise sqrt(sigma2) * eps either way.
     """
     phi = phi_n(params)
-    sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
+    kept = sigma2 is not None
+    if not kept:
+        sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
     u, _ = draw_innovations(params, base, streams, eps=eps, eta=sigma2[:, 1:])
     sigma2[:, 0] = params.z0
     # Huge alpha or z0 make inf or NaN here; y's finiteness is checked by _fill_y.
@@ -154,8 +154,8 @@ def _shocks(params: ModelParams, base: int, streams, eps=None):
         np.exp(sigma2, out=sigma2)
         if sigma2[0, 0] == np.inf:  # sigma2_0 reaches no u, so the check of y misses it
             raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
-        u *= np.sqrt(sigma2[:, 1:])
-    return u, sigma2
+        u *= np.sqrt(sigma2[:, 1:], out=None if kept else sigma2[:, 1:])
+    return u
 
 
 def _fill_y(y: np.ndarray, u, rho: float, params: ModelParams, base: int, streams) -> None:
@@ -173,23 +173,20 @@ def _fill_y(y: np.ndarray, u, rho: float, params: ModelParams, base: int, stream
         )
 
 
-def simulate_batch(
-    params: ModelParams, base: int, streams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_batch(params: ModelParams, base: int, streams) -> tuple[np.ndarray, np.ndarray]:
     """Simulate len(streams) paths at once, one Philox substream per path.
 
-    Returns (y, sigma2, u) with shapes (B, n+1), (B, n+1), (B, n).  Row j
-    is the path for RngSeed(base, streams[j]); single-path and batched
-    calls produce bit-identical values.  sigma2 is a read-only broadcast
-    view with one volatility row per row of eta: at alpha = 0 that is the
-    one row every path shares.
+    Returns (y, u) with shapes (B, n+1) and (B, n).  Row j is the path for
+    RngSeed(base, streams[j]); single-path and batched calls produce
+    bit-identical values.  sigma2 holds sqrt(sigma2) for u and is freed
+    before y is allocated, so at most two (B, n+1)-sized arrays are live.
     """
     streams = np.asarray(streams, dtype=np.uint64)
     rho = rho_n(params)
-    u, sigma2 = _shocks(params, base, streams)
-    y = np.empty((len(streams), params.n + 1))  # after _shocks' transient sqrt(sigma2) is freed
+    u = _shocks(params, base, streams)
+    y = np.empty((len(streams), params.n + 1))
     _fill_y(y, u, rho, params, base, streams)
-    return y, np.broadcast_to(sigma2, y.shape), u
+    return y, u
 
 
 def simulate_y(params: ModelParams, base: int, streams) -> np.ndarray:
@@ -207,6 +204,15 @@ def simulate_y(params: ModelParams, base: int, streams) -> np.ndarray:
 
 
 def simulate_path(params: ModelParams, seed: RngSeed) -> SimulatedPath:
-    """Simulate one trajectory of the mean/volatility recursion pair."""
-    y, sigma2, u = simulate_batch(params, seed.base, [seed.stream])
+    """Simulate one trajectory of the mean/volatility recursion pair.
+
+    simulate_batch's steps at B = 1, bit for bit and with its errors, but
+    keeping the volatility row that simulate_batch frees.
+    """
+    streams = [seed.stream]
+    rho = rho_n(params)
+    sigma2 = np.empty((1, params.n + 1))
+    u = _shocks(params, seed.base, streams, sigma2=sigma2)
+    y = np.empty_like(sigma2)
+    _fill_y(y, u, rho, params, seed.base, streams)
     return SimulatedPath(y=y[0], sigma2=sigma2[0], u=u[0])

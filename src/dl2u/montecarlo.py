@@ -71,7 +71,7 @@ def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     B = spec.paths_per_test
     streams = np.arange(rep * B, (rep + 1) * B, dtype=np.uint64)
     try:
-        y, _, u = dgp.simulate_batch(spec.params, spec.seed, streams)
+        y, u = dgp.simulate_batch(spec.params, spec.seed, streams)
         return pivots(spec.params, y, u)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"replication {rep} aborted: {exc}") from exc

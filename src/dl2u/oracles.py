@@ -134,9 +134,9 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     """Variances of the explosive auxiliary sums vs 1/(2c), correlation vs 0.
 
     W_n weights innovations by rho^-j, V_n by rho^-(n-j+1); the limit is an
-    independent N(0, 1/(2c)) pair.  Only u is read; the batch holds y,
-    sigma2 and u, each about (WNVN_PATHS, n), and a transient sqrt(sigma2),
-    which in dl2u verify is less than eq6's one y at n = 10000.
+    independent N(0, 1/(2c)) pair.  Only u is read; the batch holds two
+    arrays of about (WNVN_PATHS, n) at a time, first u and sigma2, then y
+    and u, which in dl2u verify is less than eq6's one y at n = 10000.
     """
     if params.regime is not Regime.MILDLY_EXPLOSIVE:
         raise DomainError("W/V check is explosive-regime only")
@@ -144,7 +144,7 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     rho = rho_n(params)
     kn = eval_sequence(params.kn, params.n)
     n = params.n
-    _, _, u = dgp.simulate_batch(params, seed, np.arange(WNVN_PATHS, dtype=np.uint64))
+    _, u = dgp.simulate_batch(params, seed, np.arange(WNVN_PATHS, dtype=np.uint64))
     j = np.arange(1, n + 1)
     half_log_norm = 0.5 * (vol.log_l_n + math.log(kn))
     w_weights = np.exp(-j * math.log(rho) - half_log_norm)

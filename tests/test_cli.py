@@ -564,11 +564,18 @@ class TestOutOverwrite:
         assert link.is_symlink()
         assert target.read_bytes() == second.read_bytes() == want
 
-    # not simulate: its sidecar would be /dev/null.meta.json
+    # simulate is run through a link below, so a sidecar written by mistake lands in tmp_path
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     @pytest.mark.parametrize("command", ["table", "hist"])
     def test_dev_null_is_written_uncut(self, command):
         assert main([*OUT_CALLS[command], "--out", "/dev/null"]) == EXIT_OK
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_simulate_to_a_device_writes_no_sidecar(self, tmp_path):
+        link = tmp_path / "null"
+        link.symlink_to("/dev/null")
+        assert main([*OUT_CALLS["simulate"], "--out", str(link)]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["null"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_stdout_pipe_is_written_uncut(self, tmp_path):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dl2u import montecarlo, oracles
-from dl2u.dgp import RngSeed, _recur, draw_innovations, simulate_batch, simulate_path, simulate_y
+from dl2u.dgp import (
+    RngSeed, _recur, _shocks, draw_innovations, simulate_batch, simulate_path, simulate_y,
+)
 from dl2u.errors import NumericOverflowError
 from dl2u.sequences import ModelParams, Regime, SequenceSpec, phi_n, rho_n
 
@@ -22,6 +24,18 @@ def stat_params(**kw):
     )
     base.update(kw)
     return ModelParams(**base)
+
+
+def batch_with_sigma2(params, base, streams):
+    """simulate_batch's (y, u) with sigma2 between them, broadcast to y's shape.
+
+    simulate_batch frees sigma2, so it is taken from _shocks given an array
+    to fill and keep, which must give the same u.
+    """
+    y, u = simulate_batch(params, base, streams)
+    sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
+    assert _shocks(params, base, streams, sigma2=sigma2).tobytes() == u.tobytes()
+    return y, np.broadcast_to(sigma2, y.shape), u
 
 
 def fresh_normals(base, stream, series, n):
@@ -50,7 +64,7 @@ class TestDeterminism:
 
     def test_batch_rows_match_single_paths_bitwise(self):
         p = stat_params()
-        y, sigma2, u = simulate_batch(p, 11, [0, 5, 9])
+        y, sigma2, u = batch_with_sigma2(p, 11, [0, 5, 9])
         for row, stream in enumerate([0, 5, 9]):
             single = simulate_path(p, RngSeed(11, stream))
             assert np.array_equal(y[row], single.y)
@@ -139,14 +153,9 @@ class TestRecursion:
         assert np.all(path.sigma2 == 1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_alpha_zero_shares_one_read_only_sigma2_row(self, alpha):
-        # sigma2 is a read-only view at every alpha; at alpha = 0 its rows are one row.
+    def test_batch_returns_y_and_u_and_a_path_keeps_sigma2(self, alpha):
         p = stat_params(alpha=alpha, n=40, z0=0.5)
-        _, sigma2, _ = simulate_batch(p, 3, [0, 1, 2])
-        assert sigma2.shape == (3, 41)
-        assert not sigma2.flags.writeable
-        if alpha == 0:
-            assert (sigma2 == sigma2[0]).all()
+        assert [a.shape for a in simulate_batch(p, 3, [0, 1, 2])] == [(3, 41), (3, 40)]
         assert simulate_path(p, RngSeed(3)).sigma2.shape == (41,)
 
     def test_mean_recursion_holds(self):
@@ -191,7 +200,7 @@ class TestTiles:
     def test_matches_column_loop_bitwise(self, n, B, alpha):
         p = stat_params(alpha=alpha, n=n, rn=SequenceSpec.parse("const:10"), y0=2.5, z0=-1.25)
         streams = np.arange(B, dtype=np.uint64)
-        for got, want in zip(simulate_batch(p, 13, streams), column_loop_batch(p, 13, streams)):
+        for got, want in zip(batch_with_sigma2(p, 13, streams), column_loop_batch(p, 13, streams)):
             assert np.array_equal(got, want)
 
     def test_single_step(self):
@@ -272,9 +281,9 @@ class TestOverflow:
         assert str(alone.value) == str(batch.value)
 
 
-# SHA-256 of simulate_batch's (y, sigma2, u) as <f8 bytes.  Existing seeds
-# must keep reproducing existing paths; each case reaches inputs that the
-# benchmark's hash gates do not.
+# SHA-256 of simulate_batch's y, the kept sigma2 and u, as <f8 bytes.
+# Existing seeds must keep reproducing existing paths; each case reaches
+# inputs that the benchmark's hash gates do not.
 GOLDEN_CASES = {
     "y0-z0-alpha-0": (dict(alpha=0.0, y0=5.0, z0=1.0), 11, [0, 1, 2],
                       "37e478fd2d8d23bc28ae528706c5c145cc9364dfed4a58a4cafd09319f88013a"),
@@ -296,7 +305,7 @@ class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_batch_output_digest(self, case):
         kw, base, streams, digest = GOLDEN_CASES[case]
-        arrays = simulate_batch(stat_params(**kw), base, streams)
+        arrays = batch_with_sigma2(stat_params(**kw), base, streams)
         got = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
         assert got.hexdigest() == digest
 
@@ -304,7 +313,7 @@ class TestGolden:
     def test_y_alone_matches_the_batch(self, case):
         kw, base, streams, _ = GOLDEN_CASES[case]
         p = stat_params(**kw)
-        y, _, _ = simulate_batch(p, base, streams)
+        y, _ = simulate_batch(p, base, streams)
         assert simulate_y(p, base, streams).tobytes() == y.tobytes()
 
 
@@ -319,18 +328,18 @@ def traced_peak(call, *args) -> int:
 
 
 class TestMemory:
-    # Bounds are in (B, n+1) float64 arrays.  u is formed in eps's memory and
-    # eta is drawn into sigma2's; the recurrence tiles add 2 * 64 + 1 rows of B.
+    # Bounds are in (B, n+1) float64 arrays.  u is formed in eps's memory,
+    # eta is drawn into sigma2's and sqrt(sigma2) is written over it; the
+    # recurrence tiles add 2 * 64 + 1 rows of B.
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_traced_peak_counts_only_live_arrays(self, alpha):
-        # At alpha = 0: y and u, as sigma2 is one row.  At alpha > 0: u, sigma2
-        # and a transient sqrt(sigma2), then y, u and sigma2, with the tiles
-        # (0.13 of an array at n = 1000).
+        # At alpha = 0: y and u, as sigma2 is one row.  At alpha > 0: u and
+        # sigma2, then, with sigma2 freed, y and u; with the tiles (0.13 of
+        # an array at n = 1000).
         B, n = 500, 1000
         peak = traced_peak(simulate_batch, stat_params(alpha=alpha, n=n), 5,
                            np.arange(B, dtype=np.uint64))
-        arrays = 3.25 if alpha > 0 else 2.25
-        assert peak <= arrays * 8 * B * (n + 1)
+        assert peak <= 2.25 * 8 * B * (n + 1)
 
     def test_verify_eq6_holds_only_y(self):
         # verify's grid and seed; the n = 1000 point adds 0.1 and the tiles 0.013
@@ -340,10 +349,10 @@ class TestMemory:
         assert peak <= 1.25 * 8 * oracles.EQ6_PATHS * 10001
 
     def test_verify_wn_vn_holds_one_batch(self):
-        # verify's params and seed: y, u and sigma2 at n = 300, and the tiles (0.43)
+        # verify's params and seed: u and sigma2, then y and u, at n = 300, and the tiles (0.43)
         params = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
         peak = traced_peak(oracles.check_wnvn, params, 709)
-        assert peak <= 3.5 * 8 * oracles.WNVN_PATHS * (params.n + 1)
+        assert peak <= 2.5 * 8 * oracles.WNVN_PATHS * (params.n + 1)
 
 
 class TestReuse:
