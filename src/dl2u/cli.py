@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import errno
 import functools
 import json
 import math
 import os
 import re
+import stat
 import sys
 from itertools import repeat
 
@@ -67,9 +67,9 @@ def _params_meta(params: ModelParams) -> dict:
     return {name: show(getattr(params, name)) for name, _, show in _FIELDS}
 
 
-def _write(text: str, path: str | None = None, stream: str = "stdout") -> None:
-    """Write `text` over `path`, or to sys.`stream` and flush it there; any OSError exits 3."""
-    out = getattr(sys, stream)
+def _write(text: str, path: str | None = None, stream: str = "stdout") -> bool:
+    """Write `text` over `path`, or flush it to sys.`stream`; True iff `path` is a regular file."""
+    out, regular = getattr(sys, stream), False
     try:
         if path is None:
             out.write(text)
@@ -81,17 +81,16 @@ def _write(text: str, path: str | None = None, stream: str = "stdout") -> None:
                     fh.write(text)
             finally:  # cut where the writes ended; a truncation to 0 makes ext4 flush at close
                 try:
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-                except OSError as exc:  # /dev/null (EINVAL) and pipes (ESPIPE) are left uncut
-                    if exc.errno not in (errno.EINVAL, errno.ESPIPE):
-                        raise
+                    if regular := stat.S_ISREG(os.fstat(fd).st_mode):  # not a device, FIFO or pipe
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
                 finally:
                     os.close(fd)
-    except OSError as exc:
+    except OSError as exc:  # exits 3
         if path is None:  # close it: what a failed flush left buffered would fail again at exit
             with contextlib.suppress(OSError):
                 out.close()
         raise DomainError(f"cannot write {stream if path is None else path}: {exc}") from exc
+    return regular
 
 
 def _csv_text(path: SimulatedPath) -> str:
@@ -106,15 +105,15 @@ def _csv_text(path: SimulatedPath) -> str:
 
 
 def _read_path_csv(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """y and u of a path CSV of n + 1 rows, as column views of one (n + 1, k) array.
+    """y and u of a path CSV of n + 1 rows, as the column views of np.loadtxt's (n + 1, 2) array.
 
     One substitution drops every `#` comment, and of the lines, split at line
     feeds only, the blank ones are dropped.  The first left is the header;
     every row has one cell per header name, and only the y and u cells are
-    read, but for the empty u cell of the t = 0 row.  The views' stride of
-    8·k bytes, k header columns, is that of the structured array
-    `np.genfromtxt(path, delimiter=",", names=True)`, so dot products over
-    them sum in the same order and `estimate` keeps its last bits.
+    read, but for the empty u cell of the t = 0 row.  BLAS sums a strided
+    vector in one order at any stride, and a contiguous one in another, so
+    these strided views keep the last bits `estimate` had with the columns
+    of `np.genfromtxt(path, delimiter=",", names=True)`.
     """
     try:
         with open(path) as fh:
@@ -138,9 +137,7 @@ def _read_path_csv(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.loadtxt(lines[1:], delimiter=",", usecols=(iy, iu), ndmin=2)
     except ValueError:
         raise not_finite from None
-    data = np.full((n + 1, k), np.nan)
-    data[:, [iy, iu]] = rows
-    y, u = data[:, iy], data[1:, iu]
+    y, u = rows[:, 0], rows[1:, 1]
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(u))):
         raise not_finite
     return y, u
@@ -152,8 +149,7 @@ def cmd_simulate(args) -> int:
     path = simulate_path(params, seed)
     meta = {"command": "simulate", "params": _params_meta(params),
             "seed": {"base": seed.base, "stream": seed.stream}}
-    _write(_csv_text(path), args.out)
-    if args.out is not None and os.path.isfile(args.out):  # a device or FIFO gets no sidecar
+    if _write(_csv_text(path), args.out):  # stdout, a device, FIFO or pipe gets no sidecar
         _write(json.dumps(meta, indent=2), args.out + ".meta.json")  # no final newline
     return EXIT_OK
 

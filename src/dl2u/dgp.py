@@ -181,7 +181,6 @@ def simulate_batch(params: ModelParams, base: int, streams) -> tuple[np.ndarray,
     bit-identical values.  sigma2 holds sqrt(sigma2) for u and is freed
     before y is allocated, so at most two (B, n+1)-sized arrays are live.
     """
-    streams = np.asarray(streams, dtype=np.uint64)
     rho = rho_n(params)
     u = _shocks(params, base, streams)
     y = np.empty((len(streams), params.n + 1))
@@ -195,7 +194,6 @@ def simulate_y(params: ModelParams, base: int, streams) -> np.ndarray:
     eps is drawn into y's columns 1..n, u is formed there, and y recurs
     over them in place.
     """
-    streams = np.asarray(streams, dtype=np.uint64)
     rho = rho_n(params)
     y = np.empty((len(streams), params.n + 1))
     _shocks(params, base, streams, eps=y[:, 1:])

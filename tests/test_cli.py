@@ -12,6 +12,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -611,19 +612,39 @@ class TestOutOverwrite:
         assert out.read_bytes() == want[:20000]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-    @pytest.mark.parametrize("error, code", [(errno.EINVAL, EXIT_OK), (errno.ESPIPE, EXIT_OK),
-                                             (errno.EIO, EXIT_DOMAIN)],
+    @pytest.mark.parametrize("error", [errno.EINVAL, errno.ESPIPE, errno.EIO],
                              ids=["EINVAL", "ESPIPE", "EIO"])
-    def test_only_a_target_that_cannot_be_cut_is_left_uncut(self, tmp_path, monkeypatch,
-                                                            error, code):
+    def test_a_regular_file_that_cannot_be_cut_exits_3(self, tmp_path, monkeypatch, error):
         def cut(fd, length):
             raise OSError(error, os.strerror(error))
 
         monkeypatch.setattr(os, "ftruncate", cut)
+        out = tmp_path / "out"
         fds = sorted(os.listdir("/proc/self/fd"))
-        assert main_keeping_contract([*OUT_CALLS["table"], "--out", str(tmp_path / "out")])[0] \
-            == code
-        assert sorted(os.listdir("/proc/self/fd")) == fds  # closed, cut or not
+        code, err = main_keeping_contract([*OUT_CALLS["table"], "--out", str(out)])
+        assert code == EXIT_DOMAIN
+        assert err.startswith(f"domain error: cannot write {out}: [Errno {error}]")
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # closed though not cut
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    def test_fifo_is_written_uncut_and_gets_no_sidecar(self, tmp_path, command):
+        want = write_out(command, tmp_path / "fresh")[0]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()  # the CLI's open of the FIFO blocks until a reader opens it
+        try:
+            code, err = run_cli_process([*OUT_CALLS[command], "--out", str(fifo)], tmp_path,
+                                        subprocess.DEVNULL, timeout=60)
+        finally:
+            with contextlib.suppress(OSError):  # ends a read that no writer ever opened for
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+        assert (code, err) == (EXIT_OK, "")
+        assert got == [want]
+        assert not Path(f"{fifo}.meta.json").exists()
 
     @pytest.mark.parametrize("command", list(OUT_CALLS))
     def test_existing_file_is_never_truncated_to_zero(self, tmp_path, command, monkeypatch):
@@ -787,6 +808,11 @@ def path_csv_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", n
 
 
+def _estimate_sums(y, u):
+    """The bytes of the dot products that `estimate` forms over a path's y and u."""
+    return np.array([y[:-1] @ y[:-1], y[:-1] @ y[1:], y[:-1] @ u]).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=path_csv_texts(), n_offset=_either(st.just(0), st.integers(-1, 1)))
 def test_reader_matches_genfromtxt(workdir, case, n_offset):
@@ -799,9 +825,11 @@ def test_reader_matches_genfromtxt(workdir, case, n_offset):
         code, _ = main_keeping_contract(["estimate", str(path), "--n", str(n)])
         assert code == EXIT_DOMAIN
         return
-    for got, want in zip(_read_path_csv(str(path), n), expected):
-        assert got.tobytes() == want.tobytes()
-        assert got.strides == want.strides  # so dot products sum in the same order
+    got = _read_path_csv(str(path), n)
+    for got_column, want_column in zip(got, expected):
+        assert got_column.tobytes() == want_column.tobytes()
+        assert got_column.strides != (8,)  # a contiguous vector takes BLAS's unit-stride kernel
+    assert _estimate_sums(*got) == _estimate_sums(*expected)
 
 
 # --- the reader's edge cases that path_csv_texts does not generate ------------
@@ -843,4 +871,4 @@ def test_reader_edge_cases(tmp_path, text, reads):
         y, u = _read_path_csv(str(path), 3)
         assert y.tobytes() == np.array(EDGE_Y).tobytes()
         assert u.tobytes() == np.array(EDGE_U).tobytes()
-        assert y.strides == u.strides == (32,)
+        assert y.strides == u.strides == (16,)
