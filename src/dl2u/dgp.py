@@ -140,13 +140,17 @@ def _shocks(params: ModelParams, base: int, streams, eps=None, sigma2=None) -> n
     where z = phi z + eta recurs in place and is exponentiated.  Without a
     sigma2 to fill and keep, sqrt(sigma2) is written over those columns and
     the array is freed on return, so u is the one (B, n) array left.  u is
-    bitwise sqrt(sigma2) * eps either way.
+    bitwise sqrt(sigma2) * eps either way.  At alpha = 0 and z0 = 0, z stays
+    0, so sigma2 is exactly 1 and u is eps: the volatility pass is skipped.
     """
-    phi = phi_n(params)
+    phi = phi_n(params)  # first, for its errors
     kept = sigma2 is not None
     if not kept:
         sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
     u, _ = draw_innovations(params, base, streams, eps=eps, eta=sigma2[:, 1:])
+    if params.alpha == 0 and params.z0 == 0:
+        sigma2.fill(1.0)
+        return u
     sigma2[:, 0] = params.z0
     # Huge alpha or z0 make inf or NaN here; y's finiteness is checked by _fill_y.
     with np.errstate(over="ignore", invalid="ignore"):

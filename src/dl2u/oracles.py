@@ -32,6 +32,7 @@ DRAWS = 10**5  # draws per moment check, half of them antithetic
 Z_THRESHOLD = 4.0
 EQ6_PATHS = 200  # paths per grid point of check_eq6_convergence
 WNVN_PATHS = 2000  # paths of check_wnvn
+BATCH_BYTES = 8 << 20  # most bytes of (B, n+1)-sized arrays a check's batch holds at once
 
 
 def _check(label: str, values: np.ndarray, closed: float) -> dict:
@@ -43,6 +44,18 @@ def _check(label: str, values: np.ndarray, closed: float) -> dict:
     z = 0.0 if se == 0.0 and mc == closed else (mc - closed) / se
     return {"label": label, "mc_estimate": mc, "closed_form": closed, "mc_std_error": se,
             "z_score": z, "passed": abs(z) <= Z_THRESHOLD}
+
+
+def _stream_blocks(paths: int, path_bytes: int) -> list[np.ndarray]:
+    """Streams 0..paths-1 in the fewest even blocks whose path_bytes per path fit BATCH_BYTES.
+
+    All but the last block are multiples of 4 rows, so each row of u @ w meets
+    the OpenBLAS gemv kernel, and keeps the bits, that it has in one whole batch.
+    """
+    fit = max(4, BATCH_BYTES // path_bytes // 4 * 4)
+    rows = 4 * -(-paths // (4 * -(-paths // fit)))
+    streams = np.arange(paths, dtype=np.uint64)
+    return [streams[a : a + rows] for a in range(0, paths, rows)]
 
 
 def _simulate_z(phi: float, alpha: float, steps: tuple[int, ...], seed: int) -> list[np.ndarray]:
@@ -106,8 +119,10 @@ def check_eq6_convergence(params_grid, seed: int) -> dict:
 
     Passes when the absolute error at the largest n is below the error at
     the smallest n and within 15% of the 1/(2c) target.  Each grid point
-    holds one (EQ6_PATHS, n+1) array, y, which dgp.simulate_y draws u into
-    and recurs over in place.
+    runs dgp.simulate_y, which draws u into y and recurs over it in place,
+    over the fewest blocks of paths whose y (and sigma2, at alpha > 0) fit
+    BATCH_BYTES: in dl2u verify, n = 10000 in two halves of 100 paths.  Each
+    statistic is its own path's, so the means are one whole batch's, bit for bit.
     """
     if len(params_grid) < 2:
         raise DomainError("need at least two grid points")
@@ -116,8 +131,11 @@ def check_eq6_convergence(params_grid, seed: int) -> dict:
     entries = []
     for params in params_grid:
         vol = scales(params)
-        y = dgp.simulate_y(params, seed, np.arange(EQ6_PATHS, dtype=np.uint64))
-        stats = normalized_sum_squares(y, params, vol)
+        path_bytes = 8 * (params.n + 1) * (2 if params.alpha > 0 else 1)
+        stats = np.concatenate([
+            normalized_sum_squares(dgp.simulate_y(params, seed, streams), params, vol)
+            for streams in _stream_blocks(EQ6_PATHS, path_bytes)
+        ])
         target = 1.0 / (2.0 * params.c)
         entries.append({"n": params.n, "mean": float(stats.mean()),
                         "abs_error": float(abs(stats.mean() - target)), "target": target})
@@ -134,9 +152,10 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     """Variances of the explosive auxiliary sums vs 1/(2c), correlation vs 0.
 
     W_n weights innovations by rho^-j, V_n by rho^-(n-j+1); the limit is an
-    independent N(0, 1/(2c)) pair.  Only u is read; the batch holds two
-    arrays of about (WNVN_PATHS, n) at a time, first u and sigma2, then y
-    and u, which in dl2u verify is less than eq6's one y at n = 10000.
+    independent N(0, 1/(2c)) pair.  Only u is read.  dgp.simulate_batch
+    holds two (B, n+1)-sized arrays, u and sigma2, then y and u, so the
+    paths run in the fewest blocks whose two arrays fit BATCH_BYTES (in dl2u
+    verify, two halves of 1000); W and V are one whole batch's, bit for bit.
     """
     if params.regime is not Regime.MILDLY_EXPLOSIVE:
         raise DomainError("W/V check is explosive-regime only")
@@ -144,13 +163,16 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     rho = rho_n(params)
     kn = eval_sequence(params.kn, params.n)
     n = params.n
-    _, u = dgp.simulate_batch(params, seed, np.arange(WNVN_PATHS, dtype=np.uint64))
     j = np.arange(1, n + 1)
     half_log_norm = 0.5 * (vol.log_l_n + math.log(kn))
     w_weights = np.exp(-j * math.log(rho) - half_log_norm)
     v_weights = np.exp(-(n - j + 1) * math.log(rho) - half_log_norm)
-    W = u @ w_weights
-    V = u @ v_weights
+
+    def _wv(streams):  # y and u are freed on return, before the next block is drawn
+        u = dgp.simulate_batch(params, seed, streams)[1]
+        return u @ w_weights, u @ v_weights
+
+    W, V = np.concatenate([_wv(s) for s in _stream_blocks(WNVN_PATHS, 16 * (n + 1))], axis=1)
     target = 1.0 / (2.0 * params.c)
 
     def _var_entry(name, x):

@@ -191,6 +191,24 @@ def column_loop_batch(params, base, streams):
     return y, sigma2, u
 
 
+class TestShocks:
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_alpha_zero_z0_zero_returns_the_draws(self, B, monkeypatch):
+        # z stays 0, so sigma2 is exactly 1 and u = eps * 1 is eps: no recurrence runs
+        p = stat_params(alpha=0.0, z0=0.0)
+        streams = np.arange(B, dtype=np.uint64)
+        eps, _ = draw_innovations(p, 17, streams)
+
+        def no_recur(*args):
+            raise AssertionError("the volatility pass ran")
+
+        monkeypatch.setattr("dl2u.dgp._recur", no_recur)
+        sigma2 = np.full((1, p.n + 1), np.nan)
+        assert _shocks(p, 17, streams, sigma2=sigma2).tobytes() == eps.tobytes()
+        assert _shocks(p, 17, streams).tobytes() == eps.tobytes()
+        assert sigma2.tobytes() == np.ones((1, p.n + 1)).tobytes()
+
+
 class TestTiles:
     # n = 3 is one partial tile, 64 exactly one, 63/65/130 straddle boundaries;
     # the constant r_n keeps phi_n admissible down to n = 3.

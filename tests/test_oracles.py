@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dl2u import dgp, montecarlo
 from dl2u.errors import DomainError
+from dl2u.estimator import normalized_sum_squares
 from dl2u.oracles import (
+    BATCH_BYTES,
+    EQ6_PATHS,
+    WNVN_PATHS,
     check_conditional_mean,
     check_cross_moment,
     check_eq6_convergence,
@@ -13,7 +18,7 @@ from dl2u.oracles import (
     check_wnvn,
     run_moment_suite,
 )
-from dl2u.sequences import ModelParams, Regime, SequenceSpec
+from dl2u.sequences import ModelParams, Regime, SequenceSpec, eval_sequence, rho_n, scales
 
 
 def stat_params(**kw):
@@ -98,3 +103,55 @@ class TestConvergenceChecks:
     def test_wnvn_regime_guard(self):
         with pytest.raises(DomainError):
             check_wnvn(stat_params(), seed=606)
+
+
+# dl2u verify's eq6 grid and wn_vn model, run at its default seed's DGP bases
+VERIFY_EQ6_GRID = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
+                   for n in (montecarlo.N_NEARSTAT, 10000)]
+VERIFY_WNVN = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
+
+
+class TestVerifyBatches:
+    def test_no_batch_holds_an_array_over_the_budget(self, monkeypatch):
+        # sigma2, freed inside the batch, is no larger than the y it returns
+        calls = []
+
+        def recording(name):
+            simulate = getattr(dgp, name)
+
+            def wrapper(params, base, streams):
+                out = simulate(params, base, streams)
+                arrays = out if isinstance(out, tuple) else (out,)
+                calls.append((name, params.n, list(streams), max(a.nbytes for a in arrays)))
+                return out
+
+            return wrapper
+
+        for name in ("simulate_y", "simulate_batch"):
+            monkeypatch.setattr(dgp, name, recording(name))
+        check_eq6_convergence(VERIFY_EQ6_GRID, seed=708)
+        check_wnvn(VERIFY_WNVN, seed=709)
+        assert all(nbytes <= BATCH_BYTES for *_, nbytes in calls)
+        assert [(name, n, len(streams)) for name, n, streams, _ in calls] == [
+            ("simulate_y", 1000, 200), ("simulate_y", 10000, 100), ("simulate_y", 10000, 100),
+            ("simulate_batch", 300, 1000), ("simulate_batch", 300, 1000),
+        ]
+        for paths, blocks in ((EQ6_PATHS, calls[1:3]), (WNVN_PATHS, calls[3:])):
+            assert sum((streams for _, _, streams, _ in blocks), []) == list(range(paths))
+
+    def test_eq6_means_are_those_of_one_whole_batch(self):
+        grid = check_eq6_convergence(VERIFY_EQ6_GRID, seed=708)["grid"]
+        for entry, params in zip(grid, VERIFY_EQ6_GRID):
+            y = dgp.simulate_y(params, 708, np.arange(EQ6_PATHS, dtype=np.uint64))
+            assert entry["mean"] == float(normalized_sum_squares(y, params, scales(params)).mean())
+
+    def test_wnvn_values_are_those_of_one_whole_batch(self):
+        p = VERIFY_WNVN
+        _, u = dgp.simulate_batch(p, 709, np.arange(WNVN_PATHS, dtype=np.uint64))
+        j = np.arange(1, p.n + 1)
+        half_log_norm = 0.5 * (scales(p).log_l_n + math.log(eval_sequence(p.kn, p.n)))
+        log_rho = math.log(rho_n(p))
+        W = u @ np.exp(-j * log_rho - half_log_norm)
+        V = u @ np.exp(-(p.n - j + 1) * log_rho - half_log_norm)
+        want = [np.var(W, ddof=1), np.var(V, ddof=1), np.corrcoef(W, V)[0, 1]]
+        assert [c["value"] for c in check_wnvn(p, seed=709)["checks"]] == [float(w) for w in want]
