@@ -67,9 +67,18 @@ def _params_meta(params: ModelParams) -> dict:
     return {name: show(getattr(params, name)) for name, _, show in _FIELDS}
 
 
-def _write(text: str, path: str | None = None, stream: str = "stdout") -> bool:
-    """Write `text` over `path`, or flush it to sys.`stream`; True iff `path` is a regular file."""
-    out, regular = getattr(sys, stream), False
+def _is_std_stream(st: os.stat_result) -> bool:
+    """Whether `st` is the file open on fd 1 or fd 2; a closed descriptor is no file."""
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):
+            if os.path.samestat(st, os.fstat(fd)):
+                return True
+    return False
+
+
+def _write(text: str, path: str | None = None, stream: str = "stdout") -> os.stat_result | None:
+    """Write `text` over `path`, or flush it to sys.`stream`; `path`'s fstat iff a regular file."""
+    out, regular = getattr(sys, stream), None
     try:
         if path is None:
             out.write(text)
@@ -81,8 +90,10 @@ def _write(text: str, path: str | None = None, stream: str = "stdout") -> bool:
                     fh.write(text)
             finally:  # cut where the writes ended; a truncation to 0 makes ext4 flush at close
                 try:
-                    if regular := stat.S_ISREG(os.fstat(fd).st_mode):  # not a device, FIFO or pipe
+                    st = os.fstat(fd)
+                    if stat.S_ISREG(st.st_mode):  # not a device, FIFO or pipe
                         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                        regular = st
                 finally:
                     os.close(fd)
     except OSError as exc:  # exits 3
@@ -149,7 +160,8 @@ def cmd_simulate(args) -> int:
     path = simulate_path(params, seed)
     meta = {"command": "simulate", "params": _params_meta(params),
             "seed": {"base": seed.base, "stream": seed.stream}}
-    if _write(_csv_text(path), args.out):  # stdout, a device, FIFO or pipe gets no sidecar
+    st = _write(_csv_text(path), args.out)
+    if st and not _is_std_stream(st):  # stdout, its file, a device, FIFO or pipe gets none
         _write(json.dumps(meta, indent=2), args.out + ".meta.json")  # no final newline
     return EXIT_OK
 

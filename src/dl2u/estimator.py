@@ -8,10 +8,10 @@ scalar `pivot_T`/`pivot_S` keep BLAS dot products and math.exp, which round
 differently, only because the output of `dl2u estimate` is pinned.
 
 For strongly explosive roots the centered error rho_hat - rho_n is of
-order rho_n^{-n}, far below the rounding error of rho_hat itself, so the
-pivots accept a `rho_error` computed in score form (sum y_{t-1} u_t /
-sum y_{t-1}^2 with the stored innovations), which is free of that
-cancellation.  See `score_rho_error`.
+order rho_n^{-n}, far below the rounding error of rho_hat itself, so every
+pivot is formed from the score form (sum y_{t-1} u_t / sum y_{t-1}^2 with
+the stored innovations), which is free of that cancellation; the scalar
+pivots take it as `rho_error`.  See `score_rho_error`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import SimulatedPath
 from .errors import DomainError, NumericOverflowError
 from .ks import TargetLaw
 from .sequences import ModelParams, Regime, VolatilityScales, eval_sequence, rho_n
@@ -68,12 +67,12 @@ def ols_rho(y) -> OlsResult:
     return OlsResult(numerator=float(lag @ y[1:]), denominator=den)
 
 
-def score_rho_error(path: SimulatedPath) -> float:
+def score_rho_error(path) -> float:
     """Centered error rho_hat - rho_n via sum y_{t-1} u_t / sum y_{t-1}^2.
 
-    Uses the innovations stored at generation time, avoiding the
-    catastrophic cancellation of (numerator/denominator - rho_n) when
-    rho_n^n dwarfs 1/eps.
+    Reads path.y (n+1,) and path.u (n,), the innovations stored at
+    generation time, avoiding the catastrophic cancellation of
+    (numerator/denominator - rho_n) when rho_n^n dwarfs 1/eps.
     """
     return float(path.y[:-1] @ path.u) / ols_rho(path.y).denominator
 
@@ -145,22 +144,19 @@ def pivots(params: ModelParams, y, u) -> np.ndarray:
     return _log_rescale(diff, log_scale, n_log_rho, "explosive pivot")
 
 
-def pivot_T(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
-    """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c)."""
-    scale = _stationary_scale(params)
-    diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
-    return PivotValue(kind="T", value=scale * diff)
+def pivot_T(ols: OlsResult, params: ModelParams, *, rho_error: float) -> PivotValue:
+    """Near-stationary pivot sqrt(n k_n) (rho_hat - rho_n) -> N(0, 2c); ols is not read."""
+    return PivotValue(kind="T", value=_stationary_scale(params) * rho_error)
 
 
-def pivot_S(ols: OlsResult, params: ModelParams, rho_error: float | None = None) -> PivotValue:
-    """Explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) -> Cauchy(0,1)."""
+def pivot_S(ols: OlsResult, params: ModelParams, *, rho_error: float) -> PivotValue:
+    """Explosive pivot rho_n^n k_n (rho_hat - rho_n) / (2c) -> Cauchy(0,1); ols is not read."""
     log_scale, n_log_rho = _log_explosive_scale(params)
-    diff = rho_error if rho_error is not None else ols.rho_hat - rho_n(params)
     value = 0.0
-    if diff != 0.0:  # scalar libm calls, as the pinned `dl2u estimate` output was formed
-        log_mag = math.log(abs(diff)) + log_scale
+    if rho_error != 0.0:  # scalar libm calls, as the pinned `dl2u estimate` output was formed
+        log_mag = math.log(abs(rho_error)) + log_scale
         _check_explosive_overflow(log_mag, n_log_rho, "explosive pivot")
-        value = math.copysign(math.exp(log_mag), diff)
+        value = math.copysign(math.exp(log_mag), rho_error)
     return PivotValue(kind="S", value=value)
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import ndtri
 
 from dl2u.dgp import RngSeed, simulate_path
-from dl2u.estimator import explosive_pair, ols_rho, pivot_S, score_rho_error, sign_flip
+from dl2u.estimator import explosive_pair, ols_rho, pivots, sign_flip
 from dl2u.ks import TargetLaw, cdf, ks_statistic, ks_test
 from dl2u.montecarlo import ExperimentSpec, run_replication, run_table, table_params
 from dl2u.oracles import check_eq6_convergence, check_wnvn, run_moment_suite
@@ -150,7 +150,7 @@ def test_criterion_9_exact_invariants():
     params = table_params("2a", SequenceSpec.parse("pow:0.5"))
     path = simulate_path(params, RngSeed(21, 0))
     first, second = explosive_pair(path.y, path.u, params, scales(params))
-    pivot = pivot_S(ols_rho(path.y), params, rho_error=score_rho_error(path)).value
+    pivot = pivots(params, path.y[None], path.u[None])[0]
     if abs(first / second / pivot - 1.0) > 1e-10:
         failures.append("explosive ratio identity")
 

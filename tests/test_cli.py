@@ -578,6 +578,21 @@ class TestOutOverwrite:
         assert main([*OUT_CALLS["simulate"], "--out", str(link)]) == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == ["null"]
 
+    # a link under tmp_path, not /dev/stdout itself: a sidecar written by mistake lands there
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+    def test_simulate_to_a_std_stream_file_writes_no_sidecar(self, tmp_path, fd):
+        want = write_out("simulate", tmp_path / "fresh")[0]
+        link, captured = tmp_path / "link", tmp_path / "captured"
+        link.symlink_to(f"/proc/self/fd/{fd}")
+        with captured.open("w") as fh:
+            stdout, stderr = (fh, subprocess.PIPE) if fd == 1 else (subprocess.DEVNULL, fh)
+            code, _ = run_cli_process([*OUT_CALLS["simulate"], "--out", str(link)], tmp_path,
+                                      stdout, stderr)
+        assert code == EXIT_OK
+        assert captured.read_bytes() == want
+        assert not Path(f"{link}.meta.json").exists()
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_stdout_pipe_is_written_uncut(self, tmp_path):
         read_end, write_end = os.pipe()

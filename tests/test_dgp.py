@@ -360,17 +360,19 @@ class TestMemory:
         assert peak <= 2.25 * 8 * B * (n + 1)
 
     def test_verify_eq6_holds_only_y(self):
-        # verify's grid and seed; the n = 1000 point adds 0.1 and the tiles 0.013
+        # verify's grid and seed: y of one block, a half of the n = 10000 paths, and the
+        # tiles (0.013); the n = 1000 point's whole batch, 0.2 of that, is freed first
         grid = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
                 for n in (montecarlo.N_NEARSTAT, 10000)]
         peak = traced_peak(oracles.check_eq6_convergence, grid, 708)
-        assert peak <= 1.25 * 8 * oracles.EQ6_PATHS * 10001
+        assert peak <= 1.25 * 8 * (oracles.EQ6_PATHS // 2) * 10001
 
     def test_verify_wn_vn_holds_one_batch(self):
-        # verify's params and seed: u and sigma2, then y and u, at n = 300, and the tiles (0.43)
+        # verify's params and seed: u and sigma2, then y and u, of one block, a half of the
+        # paths, at n = 300, and the tiles (0.43)
         params = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
         peak = traced_peak(oracles.check_wnvn, params, 709)
-        assert peak <= 2.5 * 8 * oracles.WNVN_PATHS * (params.n + 1)
+        assert peak <= 2.5 * 8 * (oracles.WNVN_PATHS // 2) * (params.n + 1)
 
 
 class TestReuse:

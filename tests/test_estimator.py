@@ -95,11 +95,10 @@ class TestPivots:
     def test_pivot_T_value_and_target(self):
         p = stat_params()
         path = simulate_path(p, RngSeed(1, 0))
-        ols = ols_rho(path.y)
-        piv = pivot_T(ols, p)
+        err = score_rho_error(path)
+        piv = pivot_T(ols_rho(path.y), p, rho_error=err)
         kn = eval_sequence(p.kn, p.n)
-        expected = math.sqrt(p.n * kn) * (ols.rho_hat - rho_n(p))
-        assert piv.value == pytest.approx(expected, rel=1e-14)
+        assert piv.value == pytest.approx(math.sqrt(p.n * kn) * err, rel=1e-14)
 
     def test_pivot_S_fixture(self):
         # n = 300, c = 0.5, k_n = sqrt(300), centered error 1e-4:
@@ -112,9 +111,15 @@ class TestPivots:
     def test_pivot_regime_guards(self):
         ols = OlsResult(1.0, 1.0)
         with pytest.raises(DomainError):
-            pivot_T(ols, expl_params())
+            pivot_T(ols, expl_params(), rho_error=1e-4)
         with pytest.raises(DomainError):
-            pivot_S(ols, stat_params())
+            pivot_S(ols, stat_params(), rho_error=1e-4)
+
+    @pytest.mark.parametrize("pivot, params", [(pivot_T, stat_params), (pivot_S, expl_params)])
+    def test_rho_error_is_required(self, pivot, params):
+        # no direct-difference fallback: the centered error comes in score form only
+        with pytest.raises(TypeError, match="rho_error"):
+            pivot(OlsResult(1.0, 1.0), params())
 
     def test_pivot_S_overflow_names_exponent(self):
         p = expl_params(n=10**5, kn=SequenceSpec.parse("log"))
@@ -155,8 +160,8 @@ class TestNormalizedQuantities:
         path = simulate_path(p, RngSeed(4, 0))
         vol = scales(p)
         first, second = explosive_pair(path.y, path.u, p, vol)
-        piv = pivot_S(ols_rho(path.y), p, rho_error=score_rho_error(path))
-        assert first / second == pytest.approx(piv.value, rel=1e-10)
+        piv = pivots(p, path.y[None], path.u[None])[0]
+        assert first / second == pytest.approx(piv, rel=1e-10)
 
     def test_explosive_pair_regime_guard(self):
         p = stat_params()
