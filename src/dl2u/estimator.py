@@ -96,6 +96,7 @@ def _stationary_scale(params: ModelParams) -> float:
     """sqrt(n k_n), the near-stationary pivot's normalization."""
     if params.regime is not Regime.NEAR_STATIONARY:
         raise DomainError("the near-stationary pivot requires the near-stationary regime")
+    rho_n(params)  # the root 1 - c/k_n must exist: k_n > c
     n_kn = params.n * eval_sequence(params.kn, params.n)
     if n_kn == math.inf:
         raise NumericOverflowError("near-stationary scale overflow: n k_n exceeds the float range")

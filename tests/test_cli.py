@@ -397,6 +397,8 @@ class TestParser:
         # 2c overflows, so log(2c) would be inf and the pivot a silent 0.0
         (["estimate", "short.csv", "--n", "3", "--c", "1e308", "--regime", "expl", "--kn", "lin"],
          EXIT_OVERFLOW, "2c"),
+        # the near-stationary root 1 - c/k_n needs k_n > c, as simulate and hist check
+        (["estimate", "short.csv", "--n", "3", "--kn", "const:1"], EXIT_DOMAIN, "k_n > c"),
     ], ids=["negative-seed", "missing-csv", "csv-without-y-u", "empty-csv", "blank-csv",
             "csv-length-not-n", "kn-const-no-value", "kn-pow-not-a-number", "kn-log-with-value",
             "alpha-nan", "c-nan", "d-nan", "y0-nan", "z0-minus-inf", "csv-y-not-a-number",
@@ -410,7 +412,7 @@ class TestParser:
             "hist-n-zero", "hist-kn-empty", "simulate-out-empty", "simulate-n-1e15",
             "simulate-n-1e20", "table-n-1e15", "hist-bins-1e15", "hist-paths-1e15",
             "table-paths-1e19", "hist-paths-2e19", "table-n-2-to-the-50",
-            "explosive-scale-2c-overflow"])
+            "explosive-scale-2c-overflow", "estimate-kn-not-above-c"])
     def test_invalid_input_exit_codes(self, argv, code, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_CSVS.items():

@@ -115,6 +115,12 @@ class TestPivots:
         with pytest.raises(DomainError):
             pivot_S(ols, stat_params(), rho_error=1e-4)
 
+    def test_pivot_T_needs_kn_above_c(self):
+        # no root 1 - c/k_n at k_n <= c: the scale alone, sqrt(n k_n), is finite
+        p = stat_params(n=3, kn=SequenceSpec.parse("const:0.5"))
+        with pytest.raises(DomainError, match="k_n > c"):
+            pivot_T(OlsResult(1.0, 1.0), p, rho_error=1e-4)
+
     @pytest.mark.parametrize("pivot, params", [(pivot_T, stat_params), (pivot_S, expl_params)])
     def test_rho_error_is_required(self, pivot, params):
         # no direct-difference fallback: the centered error comes in score form only

@@ -72,6 +72,27 @@ class TestDegenerateAlpha:
             assert chk["passed"]
 
 
+class TestMomentsAreCrossMoments:
+    """E sigma_t^2 and E sigma_t^4 are the cross moment at s = 0 and s = t, bit for bit."""
+
+    GRID = [(alpha, phi, t) for alpha in (0.0, 0.3, 0.5) for phi in (0.5, 0.9, 0.95)
+            for t in (1, 3, 10)]
+
+    @staticmethod
+    def bits(record):  # every key but the label, in order, with floats as their hex bits
+        return [(key, value.hex() if isinstance(value, float) else value)
+                for key, value in record.items() if key != "label"]
+
+    @pytest.mark.parametrize("moment, s_of", [(check_mean_sigma2, lambda t: 0),
+                                              (check_fourth_moment, lambda t: t)],
+                             ids=["mean-at-s-0", "fourth-at-s-t"])
+    def test_record_is_the_cross_moment(self, moment, s_of):
+        for alpha, phi, t in self.GRID:
+            seed = 17 + t
+            cross = check_cross_moment(alpha, phi, s_of(t), t, seed)
+            assert self.bits(moment(alpha, phi, t, seed)) == self.bits(cross), (alpha, phi, t)
+
+
 class TestSuite:
     def test_default_battery_passes(self):
         checks = run_moment_suite()
