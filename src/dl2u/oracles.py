@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import dgp
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError
 from .estimator import normalized_sum_squares
 from .sequences import ModelParams, Regime, dispersion, eval_sequence, rho_n, scales
 
@@ -35,12 +35,20 @@ WNVN_PATHS = 2000  # paths of check_wnvn
 BATCH_BYTES = 8 << 20  # most bytes of (B, n+1)-sized arrays a check's batch holds at once
 
 
-def _check(label: str, values: np.ndarray, closed: float) -> dict:
-    """The record of `values`' mean against `closed`, as `dl2u verify` prints it."""
-    if np.ptp(values) == 0.0:  # constant sample: mean is exact, error zero
-        mc, se = float(values[0]), 0.0
-    else:
-        mc, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+def _check(label: str, log_values: np.ndarray, log_closed: float, log_scale: float = 0.0) -> dict:
+    """The record of the mean of exp(log_scale) exp(log_values) against exp(log_closed), as
+    `dl2u verify` prints it; NumericOverflowError if a moment or its sample leaves the float range."""
+    with np.errstate(over="raise"):
+        try:
+            values, closed = math.exp(log_scale) * np.exp(log_values), math.exp(log_closed)
+            if np.ptp(values) == 0.0:  # constant sample: mean is exact, error zero
+                mc, se = float(values[0]), 0.0
+            else:
+                mc, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+        except (OverflowError, FloatingPointError):
+            closed = math.inf
+    if closed == math.inf:  # math.exp(inf) is inf, without an OverflowError
+        raise NumericOverflowError(f"{label} leaves the float range")
     z = 0.0 if se == 0.0 and mc == closed else (mc - closed) / se
     return {"label": label, "mc_estimate": mc, "closed_form": closed, "mc_std_error": se,
             "z_score": z, "passed": abs(z) <= Z_THRESHOLD}
@@ -91,24 +99,22 @@ def check_cross_moment(alpha, phi, s, t, seed) -> dict:
         raise DomainError("cross moment needs s <= t")
     z_s, z_t = _simulate_z(phi, alpha, s, t, seed)
     a2 = alpha**2
-    closed = math.exp(
+    log_closed = (
         a2 * dispersion(phi, s)
         + a2 * dispersion(phi, t)
         + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
     )
     label = f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})"
-    return _check(label, np.exp(z_s + z_t), closed)
+    return _check(label, z_s + z_t, log_closed)
 
 
 def check_conditional_mean(alpha, phi, seed) -> dict:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
     eta = _simulate_z(0.0, alpha, 1, 1, seed)[1]  # z_1 = eta_1 when phi = 0
-    shock = np.exp(eta)
     checks = []
     for z_prev in np.linspace(-2.0, 2.0, 5):
-        closed = math.exp(phi * z_prev + alpha**2 / 2.0)
         label = f"conditional_mean(alpha={alpha},phi={phi},z={z_prev:g})"
-        checks.append(_check(label, math.exp(phi * z_prev) * shock, closed))
+        checks.append(_check(label, eta, phi * z_prev + alpha**2 / 2.0, phi * z_prev))
     return max(checks, key=lambda c: abs(c["z_score"]))  # the first of equal maxima
 
 

@@ -190,16 +190,12 @@ class VolatilityScales:
 
 
 def scales(params: ModelParams) -> VolatilityScales:
-    """Compute log m_n and log l_n.  log m_n is SciPy 1.17's logsumexp replayed in
-    numpy step for step, np.exp included, because SciPy calls np.exp too."""
+    """Compute log m_n and log l_n.  log m_n is the log-mean-exp of alpha^2 A_t shifted
+    by its largest term, so no exp overflows, and it is exactly 0 at alpha = 0."""
     phi = phi_n(params)
     alpha = params.alpha
-    n = params.n
-    a = alpha**2 * dispersion(phi, np.arange(1, n + 1))
+    a = alpha**2 * dispersion(phi, np.arange(1, params.n + 1))
     a_max = a.max()
-    top = a == a_max
-    count = np.count_nonzero(top)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / count  # full length: same blocks
-    log_m = float(np.log1p(s) + np.log(count) + a_max) - math.log(n)
+    log_m = float(a_max + math.log(np.mean(np.exp(a - a_max))))
     log_l = alpha**2 / (2.0 * (1.0 - phi * phi))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

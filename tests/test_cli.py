@@ -233,6 +233,23 @@ class TestHist:
         assert "sum of squared lags" in err
 
 
+# SHA-256 of stdout: the table and hist outputs that perfbench does not run keep every bit
+@pytest.mark.parametrize("argv, digest", [
+    ("table --id 1b --reps 2 --paths 20 --n 50 --seed 3",
+     "3d0e5e181a50d06e2b3ccb38f686538ed1a7beab40fbad0604d20e85ac663a2d"),
+    ("table --id 2b --reps 2 --paths 20 --n 50 --seed 3",
+     "2b314a194357d4b55bbad00af286c7693269b66bae54765d9e6a274606a9e3d3"),
+    ("hist --panel left --n 100 --paths 50 --bins 20 --seed 1",
+     "3515f34f3b23e8b6ac3db3aeedb1190abc6fbdd9a5621b6ed4dba32c22ada5d5"),
+    ("hist --panel right --n 100 --paths 50 --bins 20 --seed 1",
+     "a47f51df65ae42b3dbca9fa087a098f3d84e908a8ea83ca045203724af856e1d"),
+], ids=["table-1b", "table-2b", "hist-left", "hist-right"])
+def test_output_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerify:
     def test_failed_check_exits_5_after_its_report(self, capsys, monkeypatch):
         monkeypatch.setattr(oracles, "Z_THRESHOLD", 0.0)  # only the exact alpha = 0 checks pass

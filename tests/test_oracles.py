@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from dl2u import dgp, montecarlo
-from dl2u.errors import DomainError
+from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.estimator import normalized_sum_squares
 from dl2u.oracles import (
     BATCH_BYTES,
@@ -53,6 +55,18 @@ class TestClosedForms:
     def test_cross_moment_order_guard(self):
         with pytest.raises(DomainError):
             check_cross_moment(0.5, 0.9, 4, 2, seed=303)
+
+    @pytest.mark.parametrize("check, args, label", [
+        (check_cross_moment, (30.0, 0.9, 1, 3), "cross_moment(alpha=30.0,phi=0.9,s=1,t=3)"),
+        (check_conditional_mean, (40.0, 0.9), "conditional_mean(alpha=40.0,phi=0.9,z=-2)"),
+        (check_fourth_moment, (1e154, 0.9, 3), "cross_moment(alpha=1e+154,phi=0.9,s=3,t=3)"),
+    ], ids=["closed-form", "conditional-closed-form", "sampled-exp"])
+    def test_overflow_is_the_packages_error(self, check, args, label):
+        # neither a bare OverflowError nor numpy's overflow warning may escape the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=f"^{re.escape(label)} leaves"):
+                check(*args, seed=5)
 
 
 class TestDegenerateAlpha:
