@@ -214,19 +214,9 @@ def cmd_hist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0 <= args.seed < 2**64 - 2:  # seed + 2 is the wn_vn DGP base below
-        raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {args.seed}")
-    reports = oracles.run_moment_suite(seed=args.seed)
-
-    grid = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
-            for n in (montecarlo.N_NEARSTAT, 10000)]
-    eq6 = oracles.check_eq6_convergence(grid, seed=args.seed + 1)
-    wnvn_params = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
-    wnvn = oracles.check_wnvn(wnvn_params, seed=args.seed + 2)
-    all_passed = all(r["passed"] for r in reports) and eq6["passed"] and wnvn["passed"]
-    report = {"moment_checks": reports, "eq6": eq6, "wn_vn": wnvn, "passed": all_passed}
+    report = oracles.verify(args.seed)
     _write(json.dumps(report, indent=2) + "\n")  # delivered before a failed check exits 5
-    if not all_passed:
+    if not report["passed"]:
         raise VerificationError("one or more oracle checks failed")
     return EXIT_OK
 

@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 
-from . import dgp
+from . import dgp, montecarlo
 from .errors import DomainError, NumericOverflowError
 from .estimator import normalized_sum_squares
-from .sequences import ModelParams, Regime, dispersion, eval_sequence, rho_n, scales
+from .sequences import (
+    ModelParams, Regime, SequenceSpec, alpha_squared, dispersion, eval_sequence, rho_n, scales,
+)
 
 __all__ = [
     "check_mean_sigma2",
@@ -26,6 +28,7 @@ __all__ = [
     "check_eq6_convergence",
     "check_wnvn",
     "run_moment_suite",
+    "verify",
 ]
 
 DRAWS = 10**5  # draws per moment check, half of them antithetic
@@ -33,6 +36,10 @@ Z_THRESHOLD = 4.0
 EQ6_PATHS = 200  # paths per grid point of check_eq6_convergence
 WNVN_PATHS = 2000  # paths of check_wnvn
 BATCH_BYTES = 8 << 20  # most bytes of (B, n+1)-sized arrays a check's batch holds at once
+# dl2u verify's models: table 1a's n^0.25 row at two sizes for eq6, table 2a's n^0.5 row for wn_vn
+VERIFY_EQ6_GRID = tuple(montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
+                        for n in (montecarlo.N_NEARSTAT, 10000))
+VERIFY_WNVN = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
 
 
 def _check(label: str, log_values: np.ndarray, log_closed: float, log_scale: float = 0.0) -> dict:
@@ -95,26 +102,27 @@ def check_fourth_moment(alpha, phi, t, seed) -> dict:
 
 def check_cross_moment(alpha, phi, s, t, seed) -> dict:
     """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s)."""
-    if s > t:
-        raise DomainError("cross moment needs s <= t")
-    z_s, z_t = _simulate_z(phi, alpha, s, t, seed)
-    a2 = alpha**2
+    if not 0 <= s <= t:
+        raise DomainError("cross moment needs 0 <= s <= t")
+    a2 = alpha_squared(alpha)  # the closed form's domain is checked before any draw
     log_closed = (
         a2 * dispersion(phi, s)
         + a2 * dispersion(phi, t)
         + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
     )
+    z_s, z_t = _simulate_z(phi, alpha, s, t, seed)
     label = f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})"
     return _check(label, z_s + z_t, log_closed)
 
 
 def check_conditional_mean(alpha, phi, seed) -> dict:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
+    a2 = alpha_squared(alpha)
     eta = _simulate_z(0.0, alpha, 1, 1, seed)[1]  # z_1 = eta_1 when phi = 0
     checks = []
     for z_prev in np.linspace(-2.0, 2.0, 5):
         label = f"conditional_mean(alpha={alpha},phi={phi},z={z_prev:g})"
-        checks.append(_check(label, eta, phi * z_prev + alpha**2 / 2.0, phi * z_prev))
+        checks.append(_check(label, eta, phi * z_prev + a2 / 2.0, phi * z_prev))
     return max(checks, key=lambda c: abs(c["z_score"]))  # the first of equal maxima
 
 
@@ -215,3 +223,15 @@ def run_moment_suite(seed: int = 707) -> list[dict]:
         check_conditional_mean(0.5, 0.9, seed + 10),
     ]
     return cases
+
+
+def verify(seed: int) -> dict:
+    """dl2u verify's report: the moment suite from seed, eq6 over VERIFY_EQ6_GRID from DGP
+    base seed + 1 and wn_vn at VERIFY_WNVN from seed + 2; it passes iff every check does."""
+    if not 0 <= seed < 2**64 - 2:  # seed + 2, the wn_vn DGP base, is below 2^64
+        raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {seed}")
+    reports = run_moment_suite(seed=seed)  # the three checks run through this module's globals
+    eq6 = check_eq6_convergence(VERIFY_EQ6_GRID, seed=seed + 1)
+    wnvn = check_wnvn(VERIFY_WNVN, seed=seed + 2)
+    passed = all(r["passed"] for r in reports) and eq6["passed"] and wnvn["passed"]
+    return {"moment_checks": reports, "eq6": eq6, "wn_vn": wnvn, "passed": passed}

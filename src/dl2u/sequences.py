@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError
 
 __all__ = [
     "SequenceKind",
@@ -26,6 +26,7 @@ __all__ = [
     "Regime",
     "ModelParams",
     "VolatilityScales",
+    "alpha_squared",
     "dispersion",
     "eval_sequence",
     "rho_n",
@@ -133,10 +134,8 @@ def rho_n(params: ModelParams) -> float:
     """Autoregressive root 1 -/+ c/k_n for the configured regime."""
     kn = eval_sequence(params.kn, params.n)
     if params.regime is Regime.NEAR_STATIONARY:
-        if kn <= params.c and params.c > 0:
-            raise DomainError(
-                f"near-stationary root needs k_n > c; k_n={kn:g} <= c={params.c:g}"
-            )
+        if kn <= params.c:
+            raise DomainError(f"near-stationary root needs k_n > c; k_n={kn:g} <= c={params.c:g}")
         return 1.0 - params.c / kn
     return 1.0 + params.c / kn
 
@@ -166,12 +165,23 @@ def phi_n(params: ModelParams) -> float:
     return 1.0 - params.d / log_rn
 
 
+def alpha_squared(alpha: float) -> float:
+    """alpha^2 of the closed forms; NumericOverflowError where it leaves the float range."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
+    if (a2 := alpha * alpha) == math.inf:  # alpha**2 would raise a bare OverflowError
+        raise NumericOverflowError(f"alpha^2 leaves the float range at alpha = {alpha:g}")
+    return a2
+
+
 def dispersion(phi: float, t):
     """A_t = (1 - phi^(2t)) / (2 (1 - phi^2)), so that Var z_t = 2 alpha^2 A_t; A_1 = 1/2.
 
     t is an int, which gives a float, or a 1-d int array.  libm's expm1 runs
     at every t (numpy's SIMD expm1 rounds some of them 1 ulp apart).
     """
+    if not 0.0 < phi < 1.0:  # phi_n's range; NaN fails it too
+        raise DomainError(f"A_t needs phi in (0, 1), got phi = {phi}")
     x = 2.0 * np.atleast_1d(t) * math.log(phi)
     a = -np.fromiter(map(math.expm1, x.tolist()), float, x.size) / (2.0 * (1.0 - phi * phi))
     return a if np.ndim(t) else float(a[0])
@@ -193,9 +203,9 @@ def scales(params: ModelParams) -> VolatilityScales:
     """Compute log m_n and log l_n.  log m_n is the log-mean-exp of alpha^2 A_t shifted
     by its largest term, so no exp overflows, and it is exactly 0 at alpha = 0."""
     phi = phi_n(params)
-    alpha = params.alpha
-    a = alpha**2 * dispersion(phi, np.arange(1, params.n + 1))
+    a2 = alpha_squared(params.alpha)
+    a = a2 * dispersion(phi, np.arange(1, params.n + 1))
     a_max = a.max()
     log_m = float(a_max + math.log(np.mean(np.exp(a - a_max))))
-    log_l = alpha**2 / (2.0 * (1.0 - phi * phi))
+    log_l = a2 / (2.0 * (1.0 - phi * phi))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -26,8 +26,10 @@ from dl2u.cli import (
     EXIT_DOMAIN, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, EXIT_VERIFY, _csv_text, _read_path_csv,
     build_parser, main,
 )
-from dl2u.dgp import SimulatedPath
-from dl2u.sequences import ModelParams
+from dl2u.dgp import RngSeed, SimulatedPath, simulate_path
+from dl2u.estimator import ols_rho, pivot_T, score_rho_error
+from dl2u.montecarlo import table_params
+from dl2u.sequences import ModelParams, SequenceSpec
 
 
 def run(capsys, *argv):
@@ -61,11 +63,7 @@ class TestSimulate:
         out = tmp_path / "path.csv"
         run(capsys, "simulate", "--n", "50", "--alpha", "0.5", "--seed", "7",
             "--out", str(out))
-        from dl2u.dgp import RngSeed, simulate_path
-        from dl2u.sequences import ModelParams, Regime, SequenceSpec
-
-        p = ModelParams(c=1.0, d=1.0, alpha=0.5, n=50,
-                        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY)
+        p = table_params("2b", SequenceSpec.parse("pow:0.25"), 50)
         path = simulate_path(p, RngSeed(7, 0))
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert np.array_equal(data["y"], path.y)  # 17 significant digits
@@ -132,12 +130,7 @@ class TestEstimate:
         assert report["pivot"]["kind"] == "T"
         assert report["target"] == "N(0,2)"
 
-        from dl2u.dgp import RngSeed, simulate_path
-        from dl2u.estimator import ols_rho, pivot_T, score_rho_error
-        from dl2u.sequences import ModelParams, Regime, SequenceSpec
-
-        p = ModelParams(c=1.0, d=1.0, alpha=0.5, n=100,
-                        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY)
+        p = table_params("2b", SequenceSpec.parse("pow:0.25"), 100)
         path = simulate_path(p, RngSeed(3, 0))
         expected = pivot_T(ols_rho(path.y), p, rho_error=score_rho_error(path))
         assert report["pivot"]["value"] == pytest.approx(expected.value, rel=1e-12)

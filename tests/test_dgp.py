@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,19 +12,14 @@ from dl2u.dgp import (
     RngSeed, _recur, _shocks, draw_innovations, simulate_batch, simulate_path, simulate_y,
 )
 from dl2u.errors import NumericOverflowError
-from dl2u.sequences import ModelParams, Regime, SequenceSpec, phi_n, rho_n
+from dl2u.sequences import Regime, SequenceSpec, phi_n, rho_n
 
 
 RNG = np.random.default_rng(20)
 
 
-def stat_params(**kw):
-    base = dict(
-        c=1.0, d=1.0, alpha=0.5, n=200,
-        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
-    )
-    base.update(kw)
-    return ModelParams(**base)
+def stat_params(**kw):  # table 2b's n^0.25 row at n = 200
+    return replace(montecarlo.table_params("2b", SequenceSpec.parse("pow:0.25"), 200), **kw)
 
 
 def batch_with_sigma2(params, base, streams):
@@ -362,17 +358,14 @@ class TestMemory:
     def test_verify_eq6_holds_only_y(self):
         # verify's grid and seed: y of one block, a half of the n = 10000 paths, and the
         # tiles (0.013); the n = 1000 point's whole batch, 0.2 of that, is freed first
-        grid = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
-                for n in (montecarlo.N_NEARSTAT, 10000)]
-        peak = traced_peak(oracles.check_eq6_convergence, grid, 708)
-        assert peak <= 1.25 * 8 * (oracles.EQ6_PATHS // 2) * 10001
+        peak = traced_peak(oracles.check_eq6_convergence, oracles.VERIFY_EQ6_GRID, 708)
+        assert peak <= 1.25 * 8 * (oracles.EQ6_PATHS // 2) * (oracles.VERIFY_EQ6_GRID[-1].n + 1)
 
     def test_verify_wn_vn_holds_one_batch(self):
         # verify's params and seed: u and sigma2, then y and u, of one block, a half of the
         # paths, at n = 300, and the tiles (0.43)
-        params = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
-        peak = traced_peak(oracles.check_wnvn, params, 709)
-        assert peak <= 2.5 * 8 * (oracles.WNVN_PATHS // 2) * (params.n + 1)
+        peak = traced_peak(oracles.check_wnvn, oracles.VERIFY_WNVN, 709)
+        assert peak <= 2.5 * 8 * (oracles.WNVN_PATHS // 2) * (oracles.VERIFY_WNVN.n + 1)
 
 
 class TestReuse:

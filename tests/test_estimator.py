@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,25 +18,16 @@ from dl2u.estimator import (
     score_rho_error,
     sign_flip,
 )
-from dl2u.sequences import ModelParams, Regime, SequenceSpec, eval_sequence, rho_n, scales
+from dl2u.montecarlo import table_params
+from dl2u.sequences import SequenceSpec, eval_sequence, rho_n, scales
 
 
-def stat_params(**kw):
-    base = dict(
-        c=1.0, d=1.0, alpha=0.5, n=200,
-        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
-    )
-    base.update(kw)
-    return ModelParams(**base)
+def stat_params(**kw):  # table 2b's n^0.25 row at n = 200
+    return replace(table_params("2b", SequenceSpec.parse("pow:0.25"), 200), **kw)
 
 
-def expl_params(**kw):
-    base = dict(
-        c=0.5, d=1.0, alpha=0.5, n=300,
-        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE,
-    )
-    base.update(kw)
-    return ModelParams(**base)
+def expl_params(**kw):  # table 2a's n^0.5 row
+    return replace(table_params("2a", SequenceSpec.parse("pow:0.5")), **kw)
 
 
 class TestOls:

@@ -25,27 +25,17 @@ from dl2u.montecarlo import (
     table_params,
     target_law,
 )
-from dl2u.sequences import ModelParams, Regime, SequenceSpec
+from dl2u.sequences import Regime, SequenceSpec
 
 
-def stat_spec(**kw):
-    params = ModelParams(
-        c=1.0, d=1.0, alpha=0.5, n=100,
-        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
-    )
-    base = dict(params=params, paths_per_test=50, replications=4, seed=9)
-    base.update(kw)
-    return ExperimentSpec(**base)
+def stat_spec(**kw):  # table 2b's n^0.25 row at n = 100
+    params = table_params("2b", SequenceSpec.parse("pow:0.25"), 100)
+    return replace(ExperimentSpec(params, paths_per_test=50, replications=4, seed=9), **kw)
 
 
-def expl_spec(**kw):
-    params = ModelParams(
-        c=0.5, d=1.0, alpha=0.5, n=100,
-        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE,
-    )
-    base = dict(params=params, paths_per_test=50, replications=4, seed=9)
-    base.update(kw)
-    return ExperimentSpec(**base)
+def expl_spec(**kw):  # table 2a's n^0.5 row at n = 100
+    params = table_params("2a", SequenceSpec.parse("pow:0.5"), 100)
+    return replace(ExperimentSpec(params, paths_per_test=50, replications=4, seed=9), **kw)
 
 
 class TestExperimentSpec:

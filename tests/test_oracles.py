@@ -1,16 +1,19 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dl2u import dgp, montecarlo
+from dl2u import dgp, oracles
 from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.estimator import normalized_sum_squares
 from dl2u.oracles import (
     BATCH_BYTES,
     EQ6_PATHS,
+    VERIFY_EQ6_GRID,
+    VERIFY_WNVN,
     WNVN_PATHS,
     check_conditional_mean,
     check_cross_moment,
@@ -20,16 +23,12 @@ from dl2u.oracles import (
     check_wnvn,
     run_moment_suite,
 )
-from dl2u.sequences import ModelParams, Regime, SequenceSpec, eval_sequence, rho_n, scales
+from dl2u.montecarlo import table_params
+from dl2u.sequences import SequenceSpec, eval_sequence, rho_n, scales
 
 
-def stat_params(**kw):
-    base = dict(
-        c=1.0, d=1.0, alpha=0.0, n=1000,
-        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
-    )
-    base.update(kw)
-    return ModelParams(**base)
+def stat_params(**kw):  # table 1a's n^0.25 row
+    return replace(table_params("1a", SequenceSpec.parse("pow:0.25")), **kw)
 
 
 class TestClosedForms:
@@ -52,15 +51,27 @@ class TestClosedForms:
     def test_cross_moment_passes(self):
         assert check_cross_moment(0.5, 0.9, 2, 4, seed=303)["passed"]
 
-    def test_cross_moment_order_guard(self):
-        with pytest.raises(DomainError):
-            check_cross_moment(0.5, 0.9, 4, 2, seed=303)
+    @pytest.mark.parametrize("args, error", [
+        ((0.5, 0.9, 4, 2), "0 <= s <= t"), ((0.5, 0.9, -2, -1), "0 <= s <= t"),
+        ((0.5, 0.0, 1, 3), "phi in"), ((0.5, -0.5, 1, 3), "phi in"), ((0.5, 1.0, 1, 3), "phi in"),
+        ((0.5, 1e200, 1, 3), "phi in"), ((math.nan, 0.9, 1, 3), "alpha must be finite"),
+    ], ids=["s-above-t", "negative-times", "phi-0", "phi-negative", "phi-1", "phi-huge",
+            "alpha-nan"])
+    def test_cross_moment_outside_its_closed_form_is_a_domain_error(self, args, error):
+        # A_t takes log(phi) and divides by 1 - phi^2; no draw and no warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(error)):
+                check_cross_moment(*args, seed=5)
 
     @pytest.mark.parametrize("check, args, label", [
         (check_cross_moment, (30.0, 0.9, 1, 3), "cross_moment(alpha=30.0,phi=0.9,s=1,t=3)"),
         (check_conditional_mean, (40.0, 0.9), "conditional_mean(alpha=40.0,phi=0.9,z=-2)"),
         (check_fourth_moment, (1e154, 0.9, 3), "cross_moment(alpha=1e+154,phi=0.9,s=3,t=3)"),
-    ], ids=["closed-form", "conditional-closed-form", "sampled-exp"])
+        (check_cross_moment, (2e154, 0.9, 1, 3), "alpha^2"),
+        (check_conditional_mean, (2e154, 0.9), "alpha^2"),
+    ], ids=["closed-form", "conditional-closed-form", "sampled-exp", "alpha-square",
+            "conditional-alpha-square"])
     def test_overflow_is_the_packages_error(self, check, args, label):
         # neither a bare OverflowError nor numpy's overflow warning may escape the check
         with warnings.catch_warnings():
@@ -80,6 +91,7 @@ class TestDegenerateAlpha:
             check_fourth_moment(0.0, 0.9, 3, seed=202),
             check_cross_moment(0.0, 0.9, 2, 4, seed=303),
             check_conditional_mean(0.0, 0.9, seed=404),
+            check_conditional_mean(0.0, -0.5, seed=404),  # forms no A_t, so takes any finite phi
         ]:
             assert chk["z_score"] == 0.0
             assert chk["mc_estimate"] == chk["closed_form"]
@@ -123,15 +135,12 @@ class TestConvergenceChecks:
             check_eq6_convergence([stat_params()], seed=505)
 
     def test_eq6_regime_guard(self):
-        bad = ModelParams(c=0.5, d=1.0, alpha=0.0, n=300,
-                          kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
+        bad = table_params("1b", SequenceSpec.parse("pow:0.5"))
         with pytest.raises(DomainError):
             check_eq6_convergence([bad, bad], seed=505)
 
     def test_wnvn_passes_at_reference_point(self):
-        p = ModelParams(c=0.5, d=1.0, alpha=0.5, n=300,
-                        kn=SequenceSpec.parse("pow:0.5"), regime=Regime.MILDLY_EXPLOSIVE)
-        result = check_wnvn(p, seed=606)
+        result = check_wnvn(VERIFY_WNVN, seed=606)
         assert result["passed"]
         assert {c["name"] for c in result["checks"]} == {"var_W", "var_V", "corr_WV"}
 
@@ -140,13 +149,15 @@ class TestConvergenceChecks:
             check_wnvn(stat_params(), seed=606)
 
 
-# dl2u verify's eq6 grid and wn_vn model, run at its default seed's DGP bases
-VERIFY_EQ6_GRID = [montecarlo.table_params("1a", SequenceSpec.parse("pow:0.25"), n)
-                   for n in (montecarlo.N_NEARSTAT, 10000)]
-VERIFY_WNVN = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
+class TestVerify:
+    def test_one_failed_check_fails_the_report(self, monkeypatch):
+        # verify looks each check up in the module, where the benchmark's tracer wraps it too
+        monkeypatch.setattr(oracles, "check_wnvn", lambda params, seed: {"passed": False})
+        report = oracles.verify(707)
+        assert report["passed"] is False and all(c["passed"] for c in report["moment_checks"])
 
 
-class TestVerifyBatches:
+class TestVerifyBatches:  # dl2u verify's models, run at its default seed's DGP bases
     def test_no_batch_holds_an_array_over_the_budget(self, monkeypatch):
         # sigma2, freed inside the batch, is no larger than the y it returns
         calls = []
@@ -164,8 +175,7 @@ class TestVerifyBatches:
 
         for name in ("simulate_y", "simulate_batch"):
             monkeypatch.setattr(dgp, name, recording(name))
-        check_eq6_convergence(VERIFY_EQ6_GRID, seed=708)
-        check_wnvn(VERIFY_WNVN, seed=709)
+        oracles.verify(707)  # eq6 from DGP base 708, then wn_vn from 709
         assert all(nbytes <= BATCH_BYTES for *_, nbytes in calls)
         assert [(name, n, len(streams)) for name, n, streams, _ in calls] == [
             ("simulate_y", 1000, 200), ("simulate_y", 10000, 100), ("simulate_y", 10000, 100),

@@ -1,14 +1,15 @@
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dl2u.errors import DomainError
+from dl2u.errors import DomainError, NumericOverflowError
+from dl2u.montecarlo import table_params
 from dl2u.sequences import (
-    ModelParams,
     Regime,
     SequenceKind,
     SequenceSpec,
@@ -20,13 +21,8 @@ from dl2u.sequences import (
 )
 
 
-def stat_params(**kw):
-    base = dict(
-        c=1.0, d=1.0, alpha=0.5, n=1000,
-        kn=SequenceSpec.parse("pow:0.25"), regime=Regime.NEAR_STATIONARY,
-    )
-    base.update(kw)
-    return ModelParams(**base)
+def stat_params(**kw):  # table 2b's n^0.25 row
+    return replace(table_params("2b", SequenceSpec.parse("pow:0.25")), **kw)
 
 
 class TestSequenceSpec:
@@ -184,6 +180,10 @@ class TestVolatilityScales:
             vol = scales(stat_params(alpha=0.0, n=n))
             assert vol.log_m_n == 0.0, n
             assert vol.log_l_n == 0.0
+
+    def test_alpha_square_overflow_is_the_packages_error(self):
+        with pytest.raises(NumericOverflowError, match="^alpha\\^2 leaves the float range"):
+            scales(replace(table_params("2a", SequenceSpec.parse("pow:0.5")), alpha=1e200))
 
     def test_log_space_survives_overflow(self):
         # phi extremely close to 1 makes l_n astronomically large
