@@ -35,29 +35,21 @@ class TargetLaw:
 
 
 # Cephes ndtr.c's coefficients, as shortest round-trip doubles: erf(z) = z T(z^2)/U(z^2),
-# and erfc(z) = exp(-z^2) P(z)/Q(z), with R/S in place of P/Q from z = 8.
+# and erfc(z) = exp(-z^2) P(z)/Q(z), with R/S in place of P/Q from z = 8.  Q, S and U lead
+# with the 1.0 that Cephes' p1evl leaves implicit; np.polyval runs polevl's Horner steps.
 _P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
       196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
       557.5353353693994)
-_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
       1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
 _R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536,
       7.4097426995044895, 2.9788666537210022)
-_S = (2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659,
+_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659,
       9.608968090632859, 3.369076451000815)
 _T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
       55592.30130103949)
-_U = (33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
+_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
       49267.39426086359)
-
-
-def _polevl(x, coef, monic=False):
-    """Cephes polevl, Horner's rule from coef[0]; p1evl (monic) from a leading 1."""
-    y = x + coef[0] if monic else coef[0] * x + coef[1]
-    for c in coef[1 if monic else 2:]:
-        y *= x
-        y += c
-    return y
 
 
 def _ndtr(a):
@@ -71,16 +63,16 @@ def _ndtr(a):
     z = np.abs(x)
     zc = np.minimum(z, 1.0)
     zz = zc * zc
-    e = zc * _polevl(zz, _T) / _polevl(zz, _U, monic=True)  # erf(min(z, 1))
+    e = zc * np.polyval(_T, zz) / np.polyval(_U, zz)  # erf(min(z, 1))
     tail = z >= 1.0
     t = np.minimum(z[tail], 27.0)  # erfc is 0 from sqrt(MAXLOG) = 26.6 on: keep P..S finite
     w = t * -t
     # libm's exp, as Cephes calls it (np.exp's SIMD path rounds 1% of these otherwise)
     y = np.fromiter(map(math.exp, w.tolist()), float, w.size)
-    p, q = _polevl(t, _P), _polevl(t, _Q, monic=True)
+    p, q = np.polyval(_P, t), np.polyval(_Q, t)
     big = t >= 8.0
     if big.any():
-        p[big], q[big] = _polevl(t[big], _R), _polevl(t[big], _S, monic=True)
+        p[big], q[big] = np.polyval(_R, t[big]), np.polyval(_S, t[big])
         y[w < -709.782712893384] = 0.0  # Cephes' underflow edge -z^2 < -MAXLOG
     out = 0.5 * (1.0 - e)  # erfc(z) / 2
     out[tail] = 0.5 * (y * p / q)

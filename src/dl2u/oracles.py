@@ -21,8 +21,6 @@ from .sequences import (
 )
 
 __all__ = [
-    "check_mean_sigma2",
-    "check_fourth_moment",
     "check_cross_moment",
     "check_conditional_mean",
     "check_eq6_convergence",
@@ -73,52 +71,47 @@ def _stream_blocks(paths: int, path_bytes: int) -> list[np.ndarray]:
     return [streams[a : a + rows] for a in range(0, paths, rows)]
 
 
-def _simulate_z(phi: float, alpha: float, s: int, t: int,
-                seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Antithetic draws of (z_s, z_t), z_t = sum_j phi^j eta_{t-j} and z_0 = 0, for 0 <= s <= t."""
+def _simulate_z(phi: float, alpha: float, s: int, t: int, seed: int) -> np.ndarray:
+    """Antithetic draws of z_s + z_t, z_t = sum_j phi^j eta_{t-j} and z_0 = 0, for 0 <= s <= t."""
+    if alpha == 0:  # z is zero: one value, which _check reads as a constant sample, and no draw
+        return np.zeros(1)
     half = DRAWS // 2
-    if alpha == 0:  # z stays zero (its sign aside, which exp drops), so skip the draws
-        return np.zeros(2 * half), np.zeros(2 * half)
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = z_s = np.zeros(half)
     for step in range(1, t + 1):
         z = phi * z + alpha * rng.standard_normal(half)
         if step == s:
             z_s = z
-    return np.concatenate([z_s, -z_s]), np.concatenate([z, -z])  # eta -> -eta flips z's sign
-
-
-def check_mean_sigma2(alpha, phi, t, seed) -> dict:
-    """E[sigma_t^2] = exp(alpha^2 A_t): the cross moment at s = 0, where z_0 = 0 and A_0 = 0."""
-    label = f"mean_sigma2(alpha={alpha},phi={phi},t={t})"
-    return check_cross_moment(alpha, phi, 0, t, seed) | {"label": label}
-
-
-def check_fourth_moment(alpha, phi, t, seed) -> dict:
-    """E[sigma_t^4] = exp(4 alpha^2 A_t): the cross moment at s = t."""
-    label = f"fourth_moment(alpha={alpha},phi={phi},t={t})"
-    return check_cross_moment(alpha, phi, t, t, seed) | {"label": label}
+    z = z_s + z
+    return np.concatenate([z, -z])  # eta -> -eta flips z's sign
 
 
 def check_cross_moment(alpha, phi, s, t, seed) -> dict:
-    """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s)."""
-    if not 0 <= s <= t:
-        raise DomainError("cross moment needs 0 <= s <= t")
+    """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s), labeled
+    as E[sigma_t^2] = exp(alpha^2 A_t) at s = 0 (z_0 = 0, A_0 = 0) and E[sigma_t^4] at s = t."""
+    if not (all(isinstance(k, (int, np.integer)) for k in (s, t)) and 0 <= s <= t):
+        raise DomainError(f"cross moment needs integers 0 <= s <= t, got s = {s}, t = {t}")
     a2 = alpha_squared(alpha)  # the closed form's domain is checked before any draw
     log_closed = (
         a2 * dispersion(phi, s)
         + a2 * dispersion(phi, t)
         + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
     )
-    z_s, z_t = _simulate_z(phi, alpha, s, t, seed)
-    label = f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})"
-    return _check(label, z_s + z_t, log_closed)
+    if s == 0:
+        label = f"mean_sigma2(alpha={alpha},phi={phi},t={t})"
+    elif s == t:
+        label = f"fourth_moment(alpha={alpha},phi={phi},t={t})"
+    else:
+        label = f"cross_moment(alpha={alpha},phi={phi},s={s},t={t})"
+    return _check(label, _simulate_z(phi, alpha, s, t, seed), log_closed)
 
 
 def check_conditional_mean(alpha, phi, seed) -> dict:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
+    if not math.isfinite(phi):  # the closed form takes any finite phi, but not NaN or inf
+        raise DomainError(f"conditional mean needs a finite phi, got phi = {phi}")
     a2 = alpha_squared(alpha)
-    eta = _simulate_z(0.0, alpha, 1, 1, seed)[1]  # z_1 = eta_1 when phi = 0
+    eta = _simulate_z(0.0, alpha, 0, 1, seed)  # z_1 = eta_1 when phi = 0
     checks = []
     for z_prev in np.linspace(-2.0, 2.0, 5):
         label = f"conditional_mean(alpha={alpha},phi={phi},z={z_prev:g})"
@@ -210,12 +203,12 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
 def run_moment_suite(seed: int = 707) -> list[dict]:
     """The default battery of lognormal moment checks."""
     cases = [
-        check_mean_sigma2(0.0, 0.9, 3, seed),
-        check_mean_sigma2(0.5, 0.9, 3, seed + 1),
-        check_mean_sigma2(0.5, 0.5, 1, seed + 2),
-        check_fourth_moment(0.0, 0.9, 3, seed + 3),
-        check_fourth_moment(0.5, 0.5, 2, seed + 4),
-        check_fourth_moment(0.3, 0.95, 10, seed + 5),
+        check_cross_moment(0.0, 0.9, 0, 3, seed),
+        check_cross_moment(0.5, 0.9, 0, 3, seed + 1),
+        check_cross_moment(0.5, 0.5, 0, 1, seed + 2),
+        check_cross_moment(0.0, 0.9, 3, 3, seed + 3),
+        check_cross_moment(0.5, 0.5, 2, 2, seed + 4),
+        check_cross_moment(0.3, 0.95, 10, 10, seed + 5),
         check_cross_moment(0.0, 0.9, 2, 4, seed + 6),
         check_cross_moment(0.5, 0.9, 2, 4, seed + 7),
         check_cross_moment(0.4, 0.3, 2, 12, seed + 8),

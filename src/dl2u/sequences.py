@@ -201,11 +201,16 @@ class VolatilityScales:
 
 def scales(params: ModelParams) -> VolatilityScales:
     """Compute log m_n and log l_n.  log m_n is the log-mean-exp of alpha^2 A_t shifted
-    by its largest term, so no exp overflows, and it is exactly 0 at alpha = 0."""
+    by its largest term, so no exp overflows, and it is exactly 0 at alpha = 0;
+    NumericOverflowError where alpha^2 A_t or log l_n leaves the float range."""
     phi = phi_n(params)
     a2 = alpha_squared(params.alpha)
-    a = a2 * dispersion(phi, np.arange(1, params.n + 1))
+    with np.errstate(over="ignore"):  # an infinite alpha^2 A_t is caught below
+        a = a2 * dispersion(phi, np.arange(1, params.n + 1))
     a_max = a.max()
-    log_m = float(a_max + math.log(np.mean(np.exp(a - a_max))))
     log_l = a2 / (2.0 * (1.0 - phi * phi))
+    if not (math.isfinite(a_max) and math.isfinite(log_l)):  # log l_n is alpha^2 A_t's limit
+        raise NumericOverflowError(
+            f"alpha^2 A_t leaves the float range at alpha = {params.alpha:g}")
+    log_m = float(a_max + math.log(np.mean(np.exp(a - a_max))))
     return VolatilityScales(log_m_n=log_m, log_l_n=log_l)

@@ -18,13 +18,11 @@ from dl2u.oracles import (
     check_conditional_mean,
     check_cross_moment,
     check_eq6_convergence,
-    check_fourth_moment,
-    check_mean_sigma2,
     check_wnvn,
     run_moment_suite,
 )
 from dl2u.montecarlo import table_params
-from dl2u.sequences import SequenceSpec, eval_sequence, rho_n, scales
+from dl2u.sequences import SequenceSpec, dispersion, eval_sequence, rho_n, scales
 
 
 def stat_params(**kw):  # table 1a's n^0.25 row
@@ -33,12 +31,12 @@ def stat_params(**kw):  # table 1a's n^0.25 row
 
 class TestClosedForms:
     def test_mean_sigma2_fixture(self):
-        chk = check_mean_sigma2(0.5, 0.9, 3, seed=101)
+        chk = check_cross_moment(0.5, 0.9, 0, 3, seed=101)
         assert chk["closed_form"] == pytest.approx(math.exp(0.25 * 1.23305), rel=1e-5)
         assert chk["passed"]
 
     def test_fourth_moment_fixture(self):
-        chk = check_fourth_moment(0.5, 0.5, 2, seed=202)
+        chk = check_cross_moment(0.5, 0.5, 2, 2, seed=202)
         assert chk["closed_form"] == pytest.approx(math.exp(0.625), rel=1e-12)
         assert chk["passed"]
 
@@ -55,8 +53,9 @@ class TestClosedForms:
         ((0.5, 0.9, 4, 2), "0 <= s <= t"), ((0.5, 0.9, -2, -1), "0 <= s <= t"),
         ((0.5, 0.0, 1, 3), "phi in"), ((0.5, -0.5, 1, 3), "phi in"), ((0.5, 1.0, 1, 3), "phi in"),
         ((0.5, 1e200, 1, 3), "phi in"), ((math.nan, 0.9, 1, 3), "alpha must be finite"),
+        ((0.5, 0.9, 1.5, 3), "0 <= s <= t"), ((0.5, 0.9, 1, 3.0), "0 <= s <= t"),
     ], ids=["s-above-t", "negative-times", "phi-0", "phi-negative", "phi-1", "phi-huge",
-            "alpha-nan"])
+            "alpha-nan", "s-fraction", "t-float"])
     def test_cross_moment_outside_its_closed_form_is_a_domain_error(self, args, error):
         # A_t takes log(phi) and divides by 1 - phi^2; no draw and no warning comes first
         with warnings.catch_warnings():
@@ -64,10 +63,21 @@ class TestClosedForms:
             with pytest.raises(DomainError, match=re.escape(error)):
                 check_cross_moment(*args, seed=5)
 
+    def test_numpy_integer_times_give_the_python_int_record(self):
+        ints = check_cross_moment(0.5, 0.9, 2, 4, seed=303)
+        assert check_cross_moment(0.5, 0.9, np.int64(2), np.uint8(4), seed=303) == ints
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf], ids=["phi-nan", "phi-inf"])
+    def test_conditional_mean_needs_a_finite_phi(self, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite phi"):
+                check_conditional_mean(0.5, phi, seed=5)
+
     @pytest.mark.parametrize("check, args, label", [
         (check_cross_moment, (30.0, 0.9, 1, 3), "cross_moment(alpha=30.0,phi=0.9,s=1,t=3)"),
         (check_conditional_mean, (40.0, 0.9), "conditional_mean(alpha=40.0,phi=0.9,z=-2)"),
-        (check_fourth_moment, (1e154, 0.9, 3), "cross_moment(alpha=1e+154,phi=0.9,s=3,t=3)"),
+        (check_cross_moment, (1e154, 0.9, 3, 3), "fourth_moment(alpha=1e+154,phi=0.9,t=3)"),
         (check_cross_moment, (2e154, 0.9, 1, 3), "alpha^2"),
         (check_conditional_mean, (2e154, 0.9), "alpha^2"),
     ], ids=["closed-form", "conditional-closed-form", "sampled-exp", "alpha-square",
@@ -87,8 +97,8 @@ class TestDegenerateAlpha:
 
         monkeypatch.setattr(np.random, "Philox", no_philox)
         for chk in [
-            check_mean_sigma2(0.0, 0.9, 3, seed=101),
-            check_fourth_moment(0.0, 0.9, 3, seed=202),
+            check_cross_moment(0.0, 0.9, 0, 3, seed=101),
+            check_cross_moment(0.0, 0.9, 3, 3, seed=202),
             check_cross_moment(0.0, 0.9, 2, 4, seed=303),
             check_conditional_mean(0.0, 0.9, seed=404),
             check_conditional_mean(0.0, -0.5, seed=404),  # forms no A_t, so takes any finite phi
@@ -99,24 +109,20 @@ class TestDegenerateAlpha:
 
 
 class TestMomentsAreCrossMoments:
-    """E sigma_t^2 and E sigma_t^4 are the cross moment at s = 0 and s = t, bit for bit."""
+    """E sigma_t^2 = exp(alpha^2 A_t) and E sigma_t^4 = exp(4 alpha^2 A_t) are the cross
+    moment at s = 0 and s = t, bit for bit, and their records say which moment they are."""
 
     GRID = [(alpha, phi, t) for alpha in (0.0, 0.3, 0.5) for phi in (0.5, 0.9, 0.95)
             for t in (1, 3, 10)]
 
-    @staticmethod
-    def bits(record):  # every key but the label, in order, with floats as their hex bits
-        return [(key, value.hex() if isinstance(value, float) else value)
-                for key, value in record.items() if key != "label"]
-
-    @pytest.mark.parametrize("moment, s_of", [(check_mean_sigma2, lambda t: 0),
-                                              (check_fourth_moment, lambda t: t)],
+    @pytest.mark.parametrize("s_of, name, k", [(lambda t: 0, "mean_sigma2", 1.0),
+                                               (lambda t: t, "fourth_moment", 4.0)],
                              ids=["mean-at-s-0", "fourth-at-s-t"])
-    def test_record_is_the_cross_moment(self, moment, s_of):
+    def test_record_is_the_cross_moment(self, s_of, name, k):
         for alpha, phi, t in self.GRID:
-            seed = 17 + t
-            cross = check_cross_moment(alpha, phi, s_of(t), t, seed)
-            assert self.bits(moment(alpha, phi, t, seed)) == self.bits(cross), (alpha, phi, t)
+            record = check_cross_moment(alpha, phi, s_of(t), t, seed=17 + t)
+            assert record["label"] == f"{name}(alpha={alpha},phi={phi},t={t})"
+            assert record["closed_form"] == math.exp(k * alpha * alpha * dispersion(phi, t))
 
 
 class TestSuite:

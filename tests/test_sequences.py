@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,14 @@ class TestVolatilityScales:
     def test_alpha_square_overflow_is_the_packages_error(self):
         with pytest.raises(NumericOverflowError, match="^alpha\\^2 leaves the float range"):
             scales(replace(table_params("2a", SequenceSpec.parse("pow:0.5")), alpha=1e200))
+
+    def test_scale_overflow_is_the_packages_error(self):
+        # alpha^2 = 1e308 is finite, but alpha^2 A_t and log l_n are not at d = 0.1
+        p = replace(table_params("2a", SequenceSpec.parse("pow:0.5")), d=0.1, alpha=1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="^alpha\\^2 A_t leaves the float range"):
+                scales(p)
 
     def test_log_space_survives_overflow(self):
         # phi extremely close to 1 makes l_n astronomically large
