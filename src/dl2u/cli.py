@@ -39,18 +39,6 @@ _COMMENT = re.compile("#[^\n]*")
 _CSV_ROWS = 64  # per `%`: one `%` over all rows grew inspect's peak RSS by 0.7 MB
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=montecarlo.N_NEARSTAT)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--kn", default="pow:0.25", help="const:V | log | pow:A | lin")
-    p.add_argument("--rn", default="log", help="const:V | log | pow:A | lin")
-    p.add_argument("--regime", choices=[r.value for r in Regime], default="stat")
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=0.0)
-
-
 # ModelParams' fields in record order, each with its CLI parser and printer:
 # the rate sequences and the regime have a notation, the rest pass as they are
 _SPEC = (SequenceSpec.parse, SequenceSpec.label)
@@ -229,33 +217,38 @@ def build_parser() -> argparse.ArgumentParser:
         "nearly nonstationary stochastic volatility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag shared by two or more subcommands is declared once, in a parent
+    model, run, rows = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    model.add_argument("--n", type=int, default=montecarlo.N_NEARSTAT)
+    model.add_argument("--c", type=float, default=1.0)
+    model.add_argument("--d", type=float, default=1.0)
+    model.add_argument("--alpha", type=float, default=0.0)
+    model.add_argument("--kn", default="pow:0.25", help="const:V | log | pow:A | lin")
+    model.add_argument("--rn", default="log", help="const:V | log | pow:A | lin")
+    model.add_argument("--regime", choices=[r.value for r in Regime], default="stat")
+    model.add_argument("--y0", type=float, default=0.0)
+    model.add_argument("--z0", type=float, default=0.0)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", default=None)
+    rows.add_argument("--paths", type=int, default=montecarlo.PATHS_PER_TEST)
+    rows.add_argument("--n", type=int, default=None)
 
-    p = sub.add_parser("simulate", help="simulate one path to CSV")
-    _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("simulate", parents=[model, run], help="simulate one path to CSV")
     p.add_argument("--rep", type=int, default=0)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("estimate", help="estimate rho and the pivot from a path CSV")
+    p = sub.add_parser("estimate", parents=[model],
+                       help="estimate rho and the pivot from a path CSV")
     p.add_argument("path")
-    _add_model_args(p)
 
-    p = sub.add_parser("table", help="reproduce a KS acceptance table")
+    p = sub.add_parser("table", parents=[rows, run], help="reproduce a KS acceptance table")
     p.add_argument("--id", required=True, choices=list(montecarlo.TABLE_IDS))
     p.add_argument("--reps", type=int, default=montecarlo.REPLICATIONS)
-    p.add_argument("--paths", type=int, default=montecarlo.PATHS_PER_TEST)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("hist", help="emit a pivot histogram with target overlay")
+    p = sub.add_parser("hist", parents=[rows, run],
+                       help="emit a pivot histogram with target overlay")
     p.add_argument("--panel", choices=list(_PANELS), default="left")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--kn", default=None)
-    p.add_argument("--paths", type=int, default=montecarlo.PATHS_PER_TEST)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the oracle suite")
     p.add_argument("--seed", type=int, default=707)

@@ -36,6 +36,11 @@ if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mal
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int or a numpy integer, but not a bool: True is no stream 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Stream address of one replication: (base seed, stream index)."""
@@ -44,9 +49,9 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.base < 2**64:
+        if not (_is_int(self.base) and 0 <= self.base < 2**64):
             raise DomainError("base must be a 64-bit unsigned integer")
-        if not 0 <= self.stream < 2**64:
+        if not (_is_int(self.stream) and 0 <= self.stream < 2**64):
             raise DomainError("stream must be a 64-bit unsigned integer")
 
 

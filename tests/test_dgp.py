@@ -11,7 +11,7 @@ from dl2u import montecarlo, oracles
 from dl2u.dgp import (
     RngSeed, _recur, _shocks, draw_innovations, simulate_batch, simulate_path, simulate_y,
 )
-from dl2u.errors import NumericOverflowError
+from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.sequences import Regime, SequenceSpec, phi_n, rho_n
 
 
@@ -47,6 +47,20 @@ class TestRngSeed:
             RngSeed(-1)
         with pytest.raises(ValueError):
             RngSeed(0, 2**64)
+        assert RngSeed(np.uint64(2**64 - 1), np.uint8(3)).stream == 3
+
+    @pytest.mark.parametrize("base, stream, error", [
+        (0, 1.5, "stream must be"), (True, 0, "base must be"), (np.True_, 0, "base must be"),
+    ], ids=["float-stream", "bool-base", "numpy-bool-base"])
+    def test_an_address_is_an_integer_and_no_bool(self, base, stream, error):
+        with pytest.raises(DomainError, match=error):
+            RngSeed(base, stream)
+
+    @pytest.mark.parametrize("base", [1.5, True], ids=["float", "bool"])
+    def test_batch_rejects_a_base_that_is_no_integer(self, base):
+        # Philox would take 1.5 and True as key 1 and draw base 1's paths
+        with pytest.raises(DomainError, match="base must be a 64-bit unsigned integer"):
+            simulate_batch(stat_params(), base, [0])
 
 
 class TestDeterminism:

@@ -269,6 +269,10 @@ class TestTables:
         with pytest.raises(DomainError):
             run_table("3c")
 
+    def test_a_seed_that_is_no_integer_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="base must be a 64-bit unsigned integer"):
+            run_table("2a", n_explosive=50, replications=1, paths_per_test=5, seed=1.5)
+
     def test_small_run_shape_and_determinism(self):
         kw = dict(n_nearstat=100, n_explosive=100, replications=2, paths_per_test=30, seed=5)
         rows = run_table("2b", **kw)

@@ -54,8 +54,9 @@ class TestClosedForms:
         ((0.5, 0.0, 1, 3), "phi in"), ((0.5, -0.5, 1, 3), "phi in"), ((0.5, 1.0, 1, 3), "phi in"),
         ((0.5, 1e200, 1, 3), "phi in"), ((math.nan, 0.9, 1, 3), "alpha must be finite"),
         ((0.5, 0.9, 1.5, 3), "0 <= s <= t"), ((0.5, 0.9, 1, 3.0), "0 <= s <= t"),
+        ((0.5, 0.9, True, 3), "0 <= s <= t"),
     ], ids=["s-above-t", "negative-times", "phi-0", "phi-negative", "phi-1", "phi-huge",
-            "alpha-nan", "s-fraction", "t-float"])
+            "alpha-nan", "s-fraction", "t-float", "s-bool"])
     def test_cross_moment_outside_its_closed_form_is_a_domain_error(self, args, error):
         # A_t takes log(phi) and divides by 1 - phi^2; no draw and no warning comes first
         with warnings.catch_warnings():
@@ -66,6 +67,17 @@ class TestClosedForms:
     def test_numpy_integer_times_give_the_python_int_record(self):
         ints = check_cross_moment(0.5, 0.9, 2, 4, seed=303)
         assert check_cross_moment(0.5, 0.9, np.int64(2), np.uint8(4), seed=303) == ints
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200, 1.5, True],
+                             ids=["negative", "2^128", "2^200", "fraction", "bool"])
+    @pytest.mark.parametrize("check, args", [
+        (check_cross_moment, (0.5, 0.9, 1, 3)), (check_conditional_mean, (0.5, 0.9)),
+        (check_cross_moment, (0.0, 0.9, 1, 3)),
+    ], ids=["cross", "conditional", "cross-alpha-0"])
+    def test_a_seed_that_is_no_philox_key_is_a_domain_error(self, check, args, seed):
+        # Philox would raise a bare ValueError, or take a float or bool as key 1
+        with pytest.raises(DomainError, match=re.escape(f"got seed = {seed}")):
+            check(*args, seed=seed)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf], ids=["phi-nan", "phi-inf"])
     def test_conditional_mean_needs_a_finite_phi(self, phi):
@@ -126,6 +138,10 @@ class TestMomentsAreCrossMoments:
 
 
 class TestSuite:
+    def test_verify_needs_an_integer_seed(self):
+        with pytest.raises(DomainError, match=re.escape("verify needs --seed in [0, 2^64 - 2)")):
+            oracles.verify(1.5)
+
     def test_default_battery_passes(self):
         checks = run_moment_suite()
         assert len(checks) == 11
