@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericOverflowError
-from .sequences import ModelParams, phi_n, rho_n
+from .errors import NumericOverflowError
+from .sequences import ModelParams, integer, phi_n, rho_n
 
 __all__ = [
     "RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch", "simulate_y",
@@ -25,6 +25,8 @@ __all__ = [
 _EPS_SERIES = 0
 _ETA_SERIES = 1
 _TILE = 64  # steps per time-major tile of a recurrence
+_BAD_BASE = "base must be a 64-bit unsigned integer"
+_BAD_STREAM = "stream must be a 64-bit unsigned integer"
 
 # By default glibc mmaps each block above a threshold that moves with the
 # process's history and returns freed memory to the OS, so a fresh (B, n)
@@ -36,11 +38,6 @@ if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mal
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _is_int(x) -> bool:
-    """Whether x is an int or a numpy integer, but not a bool: True is no stream 1."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class RngSeed:
     """Stream address of one replication: (base seed, stream index)."""
@@ -49,10 +46,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.base) and 0 <= self.base < 2**64):
-            raise DomainError("base must be a 64-bit unsigned integer")
-        if not (_is_int(self.stream) and 0 <= self.stream < 2**64):
-            raise DomainError("stream must be a 64-bit unsigned integer")
+        object.__setattr__(self, "base", integer(self.base, 0, 2**64, _BAD_BASE))
+        object.__setattr__(self, "stream", integer(self.stream, 0, 2**64, _BAD_STREAM))
 
 
 def draw_innovations(
@@ -67,10 +62,12 @@ def draw_innovations(
     At alpha = 0, eta is one writable row of zeros, shape (1, n): z's
     recurrence needs no draws, and its one row serves every path.  Given
     eps or eta, the series is written there instead, so a caller can draw
-    straight into columns 1..n of its (B, n+1) recurrence buffer.
+    straight into columns 1..n of its (B, n+1) recurrence buffer.  Streams
+    in a uint64 array pass on its dtype; any others are checked one by one.
     """
-    RngSeed(base)  # validates the 64-bit range
-    streams = np.asarray(streams, dtype=np.uint64)
+    base = integer(base, 0, 2**64, _BAD_BASE)
+    if not (isinstance(streams, np.ndarray) and streams.dtype == np.uint64):
+        streams = np.array([integer(s, 0, 2**64, _BAD_STREAM) for s in streams], dtype=np.uint64)
     B, n = len(streams), params.n
     bitgen = np.random.Philox(0)  # seeded: reads no OS entropy
     normal = np.random.Generator(bitgen).standard_normal

@@ -18,7 +18,7 @@ from . import dgp
 from .errors import DomainError, NumericOverflowError
 from .estimator import pivots, target_law
 from .ks import KsResult, density, ks_test
-from .sequences import ModelParams, Regime, SequenceKind, SequenceSpec
+from .sequences import ModelParams, Regime, SequenceKind, SequenceSpec, integer
 
 __all__ = [
     "ExperimentSpec",
@@ -55,10 +55,9 @@ class ExperimentSpec:
     alpha_level: ClassVar[float] = 0.05  # KS level a replication is accepted at
 
     def __post_init__(self):
-        if self.paths_per_test < 1:
-            raise DomainError("paths_per_test must be at least 1")
-        if self.replications < 1:
-            raise DomainError("replications must be at least 1")
+        for name in ("paths_per_test", "replications"):
+            value = integer(getattr(self, name), 1, np.inf, f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         size = self.paths_per_test * (self.params.n + 1)
         if size >= 2**60:  # numpy's largest float64 array; smaller sizes fail as MemoryError
             raise DomainError(f"paths_per_test * (n + 1) must be below 2^60, got {size}")
@@ -66,8 +65,8 @@ class ExperimentSpec:
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     """Simulate B paths for replication `rep` and return their pivot values."""
-    if not 0 <= rep < spec.replications:
-        raise DomainError(f"replication index {rep} outside [0, {spec.replications})")
+    rep = integer(rep, 0, spec.replications,
+                  f"replication index {rep} outside [0, {spec.replications})")
     B = spec.paths_per_test
     streams = np.arange(rep * B, (rep + 1) * B, dtype=np.uint64)
     try:
@@ -164,7 +163,7 @@ def run_table(
 ) -> list[TableRow]:
     """Reproduce one table: a KS summary per mean-persistence row.  The rows
     take the size given for the table's regime; None is the table's own size."""
-    dgp.RngSeed(seed)  # a seed outside [0, 2^64) is an error, not spread modulo 2^64
+    seed = integer(seed, 0, 2**64, "base must be a 64-bit unsigned integer")  # not spread mod 2^64
     n = n_nearstat if _table(table_id)[2] is Regime.NEAR_STATIONARY else n_explosive
     rows = []
     for i, (label, kn) in enumerate(table_kn_rows(table_id)):
@@ -185,8 +184,7 @@ def emit_histogram(spec: ExperimentSpec, bins: int) -> dict:
     Explosive pivots are clipped to their 1%-99% empirical quantile window
     before binning (Cauchy tails make fixed-width bins useless otherwise).
     """
-    if bins < 10:
-        raise DomainError("need at least 10 bins")
+    bins = integer(bins, 10, np.inf, "need at least 10 bins")
     pooled = np.concatenate(
         [replication_pivots(spec, rep) for rep in range(spec.replications)]
     )

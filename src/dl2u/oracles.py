@@ -16,9 +16,8 @@ import numpy as np
 from . import dgp, montecarlo
 from .errors import DomainError, NumericOverflowError
 from .estimator import normalized_sum_squares
-from .sequences import (
-    ModelParams, Regime, SequenceSpec, alpha_squared, dispersion, eval_sequence, rho_n, scales,
-)
+from .sequences import (ModelParams, Regime, SequenceSpec, alpha_squared, dispersion,
+                        eval_sequence, integer, rho_n, scales)
 
 __all__ = [
     "check_cross_moment",
@@ -73,8 +72,8 @@ def _stream_blocks(paths: int, path_bytes: int) -> list[np.ndarray]:
 
 def _simulate_z(phi: float, alpha: float, s: int, t: int, seed: int) -> np.ndarray:
     """Antithetic draws of z_s + z_t, z_t = sum_j phi^j eta_{t-j} and z_0 = 0, for 0 <= s <= t."""
-    if not (dgp._is_int(seed) and 0 <= seed < 2**128):  # Philox's key range
-        raise DomainError(f"moment check needs an integer seed in [0, 2^128), got seed = {seed}")
+    seed = integer(seed, 0, 2**128,  # Philox's key range
+                   f"moment check needs an integer seed in [0, 2^128), got seed = {seed}")
     if alpha == 0:  # z is zero: one value, which _check reads as a constant sample, and no draw
         return np.zeros(1)
     half = DRAWS // 2
@@ -91,8 +90,9 @@ def _simulate_z(phi: float, alpha: float, s: int, t: int, seed: int) -> np.ndarr
 def check_cross_moment(alpha, phi, s, t, seed) -> dict:
     """E[sigma_s^2 sigma_t^2] = exp(alpha^2 A_s + alpha^2 A_t + 2 alpha^2 phi^(t-s) A_s), labeled
     as E[sigma_t^2] = exp(alpha^2 A_t) at s = 0 (z_0 = 0, A_0 = 0) and E[sigma_t^4] at s = t."""
-    if not (dgp._is_int(s) and dgp._is_int(t) and 0 <= s <= t):
-        raise DomainError(f"cross moment needs integers 0 <= s <= t, got s = {s}, t = {t}")
+    error = f"cross moment needs integers 0 <= s <= t, got s = {s}, t = {t}"
+    t = integer(t, 0, math.inf, error)
+    s = integer(s, 0, t + 1, error)
     a2 = alpha_squared(alpha)  # the closed form's domain is checked before any draw
     log_closed = (
         a2 * dispersion(phi, s)
@@ -223,8 +223,8 @@ def run_moment_suite(seed: int = 707) -> list[dict]:
 def verify(seed: int) -> dict:
     """dl2u verify's report: the moment suite from seed, eq6 over VERIFY_EQ6_GRID from DGP
     base seed + 1 and wn_vn at VERIFY_WNVN from seed + 2; it passes iff every check does."""
-    if not (dgp._is_int(seed) and 0 <= seed < 2**64 - 2):  # wn_vn's DGP base seed + 2 < 2^64
-        raise DomainError(f"verify needs --seed in [0, 2^64 - 2), got {seed}")
+    seed = integer(seed, 0, 2**64 - 2,  # wn_vn's DGP base seed + 2 < 2^64
+                   f"verify needs --seed in [0, 2^64 - 2), got {seed}")
     reports = run_moment_suite(seed=seed)  # the three checks run through this module's globals
     eq6 = check_eq6_convergence(VERIFY_EQ6_GRID, seed=seed + 1)
     wnvn = check_wnvn(VERIFY_WNVN, seed=seed + 2)

@@ -26,6 +26,7 @@ __all__ = [
     "Regime",
     "ModelParams",
     "VolatilityScales",
+    "integer",
     "alpha_squared",
     "dispersion",
     "eval_sequence",
@@ -33,6 +34,13 @@ __all__ = [
     "phi_n",
     "scales",
 ]
+
+
+def integer(x, lo: float, hi: float, error: str) -> int:
+    """int(x) for an int or numpy integer in [lo, hi), but no bool; else DomainError(error)."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= (v := int(x)) < hi:
+        return v
+    raise DomainError(error)
 
 
 class SequenceKind(Enum):  # each value is the kind's head in CLI notation
@@ -124,10 +132,10 @@ class ModelParams:
             raise DomainError("d must be positive")
         if self.alpha < 0:
             raise DomainError("alpha must be nonnegative")
-        if self.n < 3:  # eval_sequence, which every formula calls, needs n >= 3
-            raise DomainError(f"n must be at least 3, got n={self.n}")
-        if self.n > 2**53:  # the rate sequences use float(n), which is exact only up to 2^53
-            raise DomainError(f"n must be at most 2^53, got n={self.n}")
+        n = integer(self.n, -math.inf, math.inf, f"n must be an integer, got n={self.n!r}")
+        if not 3 <= n <= 2**53:  # eval_sequence needs n >= 3; float(n) is exact up to 2^53
+            raise DomainError(f"n must be {'at least 3' if n < 3 else 'at most 2^53'}, got n={n}")
+        object.__setattr__(self, "n", n)
 
 
 def rho_n(params: ModelParams) -> float:

@@ -47,7 +47,9 @@ class TestRngSeed:
             RngSeed(-1)
         with pytest.raises(ValueError):
             RngSeed(0, 2**64)
-        assert RngSeed(np.uint64(2**64 - 1), np.uint8(3)).stream == 3
+        seed = RngSeed(np.uint64(2**64 - 1), np.uint8(3))  # kept as the Python ints they equal
+        assert (seed.base, seed.stream) == (2**64 - 1, 3)
+        assert type(seed.base) is type(seed.stream) is int
 
     @pytest.mark.parametrize("base, stream, error", [
         (0, 1.5, "stream must be"), (True, 0, "base must be"), (np.True_, 0, "base must be"),
@@ -61,6 +63,20 @@ class TestRngSeed:
         # Philox would take 1.5 and True as key 1 and draw base 1's paths
         with pytest.raises(DomainError, match="base must be a 64-bit unsigned integer"):
             simulate_batch(stat_params(), base, [0])
+
+    @pytest.mark.parametrize("streams", [[1.5], [True], ["3"], [-1], [2**64]],
+                             ids=["float", "bool", "str", "negative", "2^64"])
+    def test_batch_rejects_a_stream_that_is_no_address(self, streams):
+        # a uint64 cast would run 1.5, True and "3" as streams 1, 1 and 3, and overflow on the rest
+        with pytest.raises(DomainError, match="stream must be a 64-bit unsigned integer"):
+            simulate_batch(stat_params(), 7, streams)
+
+    @pytest.mark.parametrize("streams", [[5, 0, 5, 2**64 - 1], np.array([1, 2], dtype=np.int8)],
+                             ids=["list", "int8-array"])
+    def test_batch_takes_integer_streams_of_any_kind(self, streams):
+        want = simulate_batch(stat_params(), 7, np.array(streams, dtype=np.uint64))
+        got = simulate_batch(stat_params(), 7, streams)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestDeterminism:

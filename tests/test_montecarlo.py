@@ -40,10 +40,11 @@ def expl_spec(**kw):  # table 2a's n^0.5 row at n = 100
 
 class TestExperimentSpec:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            stat_spec(paths_per_test=0)
-        with pytest.raises(DomainError):
-            stat_spec(replications=0)
+        # 2.5 paths would make 3 pivots, and True replications would run 1
+        for name in ("paths_per_test", "replications"):
+            for value in (0, 2.5, 2.0, True):
+                with pytest.raises(DomainError, match=f"{name} must be at least 1"):
+                    stat_spec(**{name: value})
 
     def test_batch_size_bound(self):
         # B * (n + 1) float64 values must fit numpy's index range; nothing is allocated here
@@ -75,10 +76,9 @@ class TestReplications:
         assert not np.array_equal(replication_pivots(spec, 0), replication_pivots(spec, 1))
 
     def test_rep_index_bounds(self):
-        with pytest.raises(DomainError):
-            replication_pivots(stat_spec(), 4)
-        with pytest.raises(DomainError):
-            replication_pivots(stat_spec(), -1)
+        for rep in (4, -1, 1.5, True):  # 1.5 would draw streams 75..124, halves of reps 1 and 2
+            with pytest.raises(DomainError, match="replication index"):
+                replication_pivots(stat_spec(), rep)
 
     def test_explosive_pivots_are_finite(self):
         vals = replication_pivots(expl_spec(), 0)
@@ -273,6 +273,11 @@ class TestTables:
         with pytest.raises(DomainError, match="base must be a 64-bit unsigned integer"):
             run_table("2a", n_explosive=50, replications=1, paths_per_test=5, seed=1.5)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_a_numpy_integer_seed_gives_the_int_seeds_rows(self, kind):
+        kw = dict(n_explosive=50, replications=1, paths_per_test=5)
+        assert run_table("2a", seed=kind(5), **kw) == run_table("2a", seed=5, **kw)
+
     def test_small_run_shape_and_determinism(self):
         kw = dict(n_nearstat=100, n_explosive=100, replications=2, paths_per_test=30, seed=5)
         rows = run_table("2b", **kw)
@@ -303,5 +308,6 @@ class TestHistogram:
         assert record["target"] == "Cauchy(0,1)"
 
     def test_bin_floor(self):
-        with pytest.raises(DomainError):
-            emit_histogram(stat_spec(), bins=5)
+        for bins in (5, 10.5, 20.0):
+            with pytest.raises(DomainError, match="need at least 10 bins"):
+                emit_histogram(stat_spec(), bins=bins)

@@ -142,6 +142,12 @@ class TestSuite:
         with pytest.raises(DomainError, match=re.escape("verify needs --seed in [0, 2^64 - 2)")):
             oracles.verify(1.5)
 
+    @pytest.mark.parametrize("kind, seed", [(np.uint64, 2**64 - 3), (np.int64, 2**63 - 1)],
+                             ids=["uint64-top", "int64-top"])
+    def test_a_numpy_integer_seed_gives_the_int_seeds_report(self, kind, seed):
+        # the keys seed + k are Python ints: no uint64 wrap and no int64 overflow
+        assert oracles.verify(kind(seed)) == oracles.verify(seed)
+
     def test_default_battery_passes(self):
         checks = run_moment_suite()
         assert len(checks) == 11

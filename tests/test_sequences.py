@@ -16,6 +16,7 @@ from dl2u.sequences import (
     SequenceSpec,
     dispersion,
     eval_sequence,
+    integer,
     phi_n,
     rho_n,
     scales,
@@ -24,6 +25,20 @@ from dl2u.sequences import (
 
 def stat_params(**kw):  # table 2b's n^0.25 row
     return replace(table_params("2b", SequenceSpec.parse("pow:0.25")), **kw)
+
+
+class TestInteger:
+    def test_returns_a_python_int_in_range(self):
+        for x, lo, hi in [(0, 0, 1), (np.uint64(2**64 - 1), 0, 2**64), (np.int8(-3), -3, 0)]:
+            value = integer(x, lo, hi, "no")
+            assert type(value) is int and value == int(x)
+
+    @pytest.mark.parametrize("x", [True, np.True_, 1.0, np.float64(1), "1", None, -1, 2**64],
+                             ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none",
+                                  "below", "at-hi"])
+    def test_anything_else_is_the_given_domain_error(self, x):
+        with pytest.raises(DomainError, match="^no$"):
+            integer(x, 0, 2**64, "no")
 
 
 class TestSequenceSpec:
@@ -99,6 +114,10 @@ class TestModelParams:
         with pytest.raises(DomainError, match=r"at most 2\^53"):  # float(n) is exact to 2^53
             stat_params(n=2**53 + 1)
         assert stat_params(n=2**53).n == 2**53
+        assert type(stat_params(n=np.int64(100)).n) is int
+        for n in (100.5, 100.0, True):  # a float n would reach np.empty; True is no 1
+            with pytest.raises(DomainError, match="n must be an integer"):
+                stat_params(n=n)
         for name in ("c", "d", "alpha", "y0", "z0"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
