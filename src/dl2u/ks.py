@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .sequences import integer
 
 __all__ = ["TargetLaw", "KsResult", "cdf", "density", "ks_statistic", "ks_pvalue", "ks_test"]
 
@@ -121,8 +122,7 @@ def ks_pvalue(d: float, m: int) -> float:
     in exp(-pi^2 / (8 x^2)) up to x = 0.82, the series in exp(-2 x^2) above)."""
     if not 0.0 <= d <= 1.0:
         raise DomainError("KS distance must lie in [0, 1]")
-    if m < 1:
-        raise DomainError("sample size must be at least 1")
+    m = integer(m, 1, 2**53 + 1, f"sample size must be an integer in [1, 2^53], got m = {m}")
     x = (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * d
     if x <= 0.04:  # P(K <= x) < 1e-300, so xsf's 1 - P(K <= x) is 1
         return 1.0

@@ -202,27 +202,26 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     }
 
 
+# the battery: (alpha, phi, s, t) of check_cross_moment, then (alpha, phi) of check_conditional_mean
+MOMENT_CASES = ((0.0, 0.9, 0, 3), (0.5, 0.9, 0, 3), (0.5, 0.5, 0, 1), (0.0, 0.9, 3, 3),
+                (0.5, 0.5, 2, 2), (0.3, 0.95, 10, 10), (0.0, 0.9, 2, 4), (0.5, 0.9, 2, 4),
+                (0.4, 0.3, 2, 12), (0.0, 0.9), (0.5, 0.9))
+
+
 def run_moment_suite(seed: int = 707) -> list[dict]:
-    """The default battery of lognormal moment checks."""
-    cases = [
-        check_cross_moment(0.0, 0.9, 0, 3, seed),
-        check_cross_moment(0.5, 0.9, 0, 3, seed + 1),
-        check_cross_moment(0.5, 0.5, 0, 1, seed + 2),
-        check_cross_moment(0.0, 0.9, 3, 3, seed + 3),
-        check_cross_moment(0.5, 0.5, 2, 2, seed + 4),
-        check_cross_moment(0.3, 0.95, 10, 10, seed + 5),
-        check_cross_moment(0.0, 0.9, 2, 4, seed + 6),
-        check_cross_moment(0.5, 0.9, 2, 4, seed + 7),
-        check_cross_moment(0.4, 0.3, 2, 12, seed + 8),
-        check_conditional_mean(0.0, 0.9, seed + 9),
-        check_conditional_mean(0.5, 0.9, seed + 10),
-    ]
-    return cases
+    """The records of MOMENT_CASES in order; case k reads Philox key seed + k < 2^128."""
+    last = len(MOMENT_CASES) - 1
+    seed = integer(seed, 0, 2**128 - last,
+                   f"moment suite needs an integer seed in [0, 2^128 - {last}), got seed = {seed}")
+    return [(check_cross_moment if len(case) == 4 else check_conditional_mean)(*case, seed + k)
+            for k, case in enumerate(MOMENT_CASES)]
 
 
 def verify(seed: int) -> dict:
     """dl2u verify's report: the moment suite from seed, eq6 over VERIFY_EQ6_GRID from DGP
-    base seed + 1 and wn_vn at VERIFY_WNVN from seed + 2; it passes iff every check does."""
+    base seed + 1 and wn_vn at VERIFY_WNVN from seed + 2; it passes iff every check does.
+    Those bases are moment cases 1 and 2's keys, so eq6's and wn_vn's path 0 draw those cases'
+    normals; separating the keys would move verify's output."""
     seed = integer(seed, 0, 2**64 - 2,  # wn_vn's DGP base seed + 2 < 2^64
                    f"verify needs --seed in [0, 2^64 - 2), got {seed}")
     reports = run_moment_suite(seed=seed)  # the three checks run through this module's globals

@@ -90,9 +90,8 @@ class SequenceSpec:
 
 
 def eval_sequence(spec: SequenceSpec, n: int) -> float:
-    """Evaluate a rate sequence at sample length n (requires n >= 3)."""
-    if n < 3:
-        raise DomainError(f"sequence evaluation needs n >= 3, got n={n}")
+    """Evaluate a rate sequence at sample length n, an integer in ModelParams' range [3, 2^53]."""
+    n = integer(n, 3, 2**53 + 1, f"sequence evaluation needs an integer n in [3, 2^53], got n={n}")
     if spec.kind is SequenceKind.CONSTANT:
         return spec.value
     if spec.kind is SequenceKind.LOG_OF_N:
@@ -185,11 +184,15 @@ def alpha_squared(alpha: float) -> float:
 def dispersion(phi: float, t):
     """A_t = (1 - phi^(2t)) / (2 (1 - phi^2)), so that Var z_t = 2 alpha^2 A_t; A_1 = 1/2.
 
-    t is an int, which gives a float, or a 1-d int array.  libm's expm1 runs
-    at every t (numpy's SIMD expm1 rounds some of them 1 ulp apart).
+    t is an int in [0, 2^63), which gives a float, or a 1-d int array of t >= 0.  libm's
+    expm1 runs at every t (numpy's SIMD expm1 rounds some of them 1 ulp apart).
     """
     if not 0.0 < phi < 1.0:  # phi_n's range; NaN fails it too
         raise DomainError(f"A_t needs phi in (0, 1), got phi = {phi}")
+    if np.ndim(t) == 0:  # below 2^63, np.atleast_1d(t) is int64
+        t = integer(t, 0, 2**63, f"A_t needs an integer t in [0, 2^63), got t = {t}")
+    elif np.asarray(t).dtype.kind not in "iu" or np.min(t, initial=0) < 0:
+        raise DomainError("A_t needs an integer array t >= 0")
     x = 2.0 * np.atleast_1d(t) * math.log(phi)
     a = -np.fromiter(map(math.expm1, x.tolist()), float, x.size) / (2.0 * (1.0 - phi * phi))
     return a if np.ndim(t) else float(a[0])

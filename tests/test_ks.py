@@ -75,8 +75,10 @@ class TestKsPvalue:
         assert ks_pvalue(1.0, 100) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DomainError):
             ks_pvalue(1.5, 100)
-        with pytest.raises(DomainError):
-            ks_pvalue(0.1, 0)
+        for m in (0, 1.5, math.nan, True, 10**400):  # m is an integer in [1, 2^53]
+            with pytest.raises(DomainError, match="sample size must be an integer"):
+                ks_pvalue(0.1, m)
+        assert ks_pvalue(0.1, np.int64(500)).hex() == ks_pvalue(0.1, 500).hex()
 
     def test_monotone_decreasing_in_d(self):
         ds = np.linspace(0.01, 0.5, 50)

@@ -142,11 +142,26 @@ class TestSuite:
         with pytest.raises(DomainError, match=re.escape("verify needs --seed in [0, 2^64 - 2)")):
             oracles.verify(1.5)
 
-    @pytest.mark.parametrize("kind, seed", [(np.uint64, 2**64 - 3), (np.int64, 2**63 - 1)],
-                             ids=["uint64-top", "int64-top"])
-    def test_a_numpy_integer_seed_gives_the_int_seeds_report(self, kind, seed):
+    @pytest.mark.parametrize("run, kind, seed", [
+        (oracles.verify, np.uint64, 2**64 - 3), (oracles.verify, np.int64, 2**63 - 1),
+        (run_moment_suite, np.uint64, 2**64 - 1), (run_moment_suite, np.int64, 2**63 - 1),
+    ], ids=["uint64-top", "int64-top", "suite-uint64-top", "suite-int64-top"])
+    def test_a_numpy_integer_seed_gives_the_int_seeds_report(self, run, kind, seed):
         # the keys seed + k are Python ints: no uint64 wrap and no int64 overflow
-        assert oracles.verify(kind(seed)) == oracles.verify(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(kind(seed)) == run(seed)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128 - 10],
+                             ids=["bool", "fraction", "negative", "last-key-2^128"])
+    def test_the_suite_checks_its_seed_before_any_draw(self, monkeypatch, seed):
+        def no_philox(*args, **kwargs):
+            raise AssertionError("the suite drew normals from an invalid seed")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        error = f"moment suite needs an integer seed in [0, 2^128 - 10), got seed = {seed}"
+        with pytest.raises(DomainError, match=re.escape(error)):
+            run_moment_suite(seed)
 
     def test_default_battery_passes(self):
         checks = run_moment_suite()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -90,8 +91,10 @@ class TestEvalSequence:
         assert eval_sequence(SequenceSpec.parse("lin"), 42) == 42.0
 
     def test_rejects_tiny_n(self):
-        with pytest.raises(DomainError):
-            eval_sequence(SequenceSpec.parse("log"), 2)
+        # and every n that is no integer in ModelParams' range [3, 2^53]
+        for n in (2, 3.5, math.nan, True, 2**53 + 1, 10**400):
+            with pytest.raises(DomainError, match=re.escape("needs an integer n in [3, 2^53]")):
+                eval_sequence(SequenceSpec.parse("log"), n)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=3, max_value=10**6))
@@ -159,6 +162,16 @@ class TestVolatilityScales:
         assert got.dtype == np.float64 and got.shape == t.shape
         assert [a.hex() for a in got.tolist()] == [dispersion(phi, int(s)).hex() for s in t]
         assert type(dispersion(phi, 2)) is float
+
+    @pytest.mark.parametrize("t", [-1, 1.5, math.nan, True, 2**63, 10**400],
+                             ids=["negative", "fraction", "nan", "bool", "2^63", "10^400"])
+    def test_dispersion_needs_an_integer_t_of_at_least_0(self, t):
+        # -1 gave A_-1 = -2 at phi = 0.5, a negative variance factor, and 1.5 gave A_1.5
+        with pytest.raises(DomainError, match=re.escape("A_t needs an integer t in [0, 2^63)")):
+            dispersion(0.5, t)
+        for array in (np.array([1, -1, 2]), np.array([1.0, 2.0]), np.array([True])):
+            with pytest.raises(DomainError, match="A_t needs an integer array t >= 0"):
+                dispersion(0.5, array)
 
     def test_dispersion_and_x_fixtures(self):
         # A_3 at phi = 0.9 is (1 - 0.9^6) / (2 (1 - 0.81)) = 1.23305, and
