@@ -56,17 +56,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("paths_per_test", "replications"):
-            value = integer(getattr(self, name), 1, np.inf, f"{name} must be at least 1")
+            value = integer(getattr(self, name), 1, np.inf, name + " must be at least 1")
             object.__setattr__(self, name, value)
-        size = self.paths_per_test * (self.params.n + 1)
-        if size >= 2**60:  # numpy's largest float64 array; smaller sizes fail as MemoryError
-            raise DomainError(f"paths_per_test * (n + 1) must be below 2^60, got {size}")
+        integer(self.paths_per_test * (self.params.n + 1), 0, 2**60,  # numpy's largest array;
+                "paths_per_test * (n + 1) must be below 2^60")  # a smaller one may be a MemoryError
 
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     """Simulate B paths for replication `rep` and return their pivot values."""
-    rep = integer(rep, 0, spec.replications,
-                  f"replication index {rep} outside [0, {spec.replications})")
+    rep = integer(rep, 0, spec.replications, "replication index outside [0, replications)")
     B = spec.paths_per_test
     streams = np.arange(rep * B, (rep + 1) * B, dtype=np.uint64)
     try:

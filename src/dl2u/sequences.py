@@ -36,11 +36,15 @@ __all__ = [
 ]
 
 
-def integer(x, lo: float, hi: float, error: str) -> int:
-    """int(x) for an int or numpy integer in [lo, hi), but no bool; else DomainError(error)."""
+def integer(x, lo: float, hi: float, need: str) -> int:
+    """int(x) for an int or numpy integer in [lo, hi), but no bool; else DomainError(f"{need}, got
+    {value}"), value being repr(x), or "an int of N bits" past 1,024 bits (309 digits, below the
+    lowest int-to-str limit, 640 digits), so the message never raises.  need is constant text:
+    nothing is formatted unless the check fails."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= (v := int(x)) < hi:
         return v
-    raise DomainError(error)
+    big = isinstance(x, int) and x.bit_length() > 1024
+    raise DomainError(f"{need}, got {f'an int of {x.bit_length()} bits' if big else repr(x)}")
 
 
 class SequenceKind(Enum):  # each value is the kind's head in CLI notation
@@ -91,7 +95,7 @@ class SequenceSpec:
 
 def eval_sequence(spec: SequenceSpec, n: int) -> float:
     """Evaluate a rate sequence at sample length n, an integer in ModelParams' range [3, 2^53]."""
-    n = integer(n, 3, 2**53 + 1, f"sequence evaluation needs an integer n in [3, 2^53], got n={n}")
+    n = integer(n, 3, 2**53 + 1, "sequence evaluation needs an integer n in [3, 2^53]")
     if spec.kind is SequenceKind.CONSTANT:
         return spec.value
     if spec.kind is SequenceKind.LOG_OF_N:
@@ -122,6 +126,9 @@ class ModelParams:
     z0: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.kn, SequenceSpec) and isinstance(self.rn, SequenceSpec)
+                and isinstance(self.regime, Regime)):  # a str regime would read as explosive
+            raise DomainError("kn and rn must be SequenceSpecs and regime a Regime")
         for name in ("c", "d", "alpha", "y0", "z0"):
             if not math.isfinite(getattr(self, name)):  # NaN and inf pass the range checks below
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -131,9 +138,7 @@ class ModelParams:
             raise DomainError("d must be positive")
         if self.alpha < 0:
             raise DomainError("alpha must be nonnegative")
-        n = integer(self.n, -math.inf, math.inf, f"n must be an integer, got n={self.n!r}")
-        if not 3 <= n <= 2**53:  # eval_sequence needs n >= 3; float(n) is exact up to 2^53
-            raise DomainError(f"n must be {'at least 3' if n < 3 else 'at most 2^53'}, got n={n}")
+        n = integer(self.n, 3, 2**53 + 1, "n must be an integer in [3, 2^53]")  # eval_sequence's n
         object.__setattr__(self, "n", n)
 
 
@@ -190,7 +195,7 @@ def dispersion(phi: float, t):
     if not 0.0 < phi < 1.0:  # phi_n's range; NaN fails it too
         raise DomainError(f"A_t needs phi in (0, 1), got phi = {phi}")
     if np.ndim(t) == 0:  # below 2^63, np.atleast_1d(t) is int64
-        t = integer(t, 0, 2**63, f"A_t needs an integer t in [0, 2^63), got t = {t}")
+        t = integer(t, 0, 2**63, "A_t needs an integer t in [0, 2^63)")
     elif np.asarray(t).dtype.kind not in "iu" or np.min(t, initial=0) < 0:
         raise DomainError("A_t needs an integer array t >= 0")
     x = 2.0 * np.atleast_1d(t) * math.log(phi)

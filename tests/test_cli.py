@@ -387,12 +387,14 @@ class TestParser:
         (["table", "--id", "2a", "--reps", "1", "--paths", "20", "--n", "50",
           "--seed", str(2**64)], EXIT_DOMAIN, "64-bit"),
         # 0 and "" are values that get validated, not "not given"
-        (["hist", "--panel", "right", "--n", "0"], EXIT_DOMAIN, "n must be at least 3"),
+        (["hist", "--panel", "right", "--n", "0"], EXIT_DOMAIN,
+         "n must be an integer in [3, 2^53], got 0"),
         (["hist", "--kn=", "--paths", "5"], EXIT_DOMAIN, "malformed sequence spec ''"),
         (["simulate", "--n", "20", "--out="], EXIT_DOMAIN, "cannot write"),
         # sizes the host cannot hold; each asks for petabytes, so it fails at once
         (["simulate", "--n", str(10**15)], EXIT_DOMAIN, "Unable to allocate"),
-        (["simulate", "--n", str(10**20)], EXIT_DOMAIN, "n must be at most 2^53"),
+        (["simulate", "--n", str(10**20)], EXIT_DOMAIN,
+         f"n must be an integer in [3, 2^53], got {10**20}"),
         (["table", "--id", "1a", "--reps", "1", "--paths", "5", "--n", str(10**15)], EXIT_DOMAIN,
          "Unable to allocate"),
         (["hist", "--n", "50", "--paths", "20", "--bins", str(10**15)], EXIT_DOMAIN,

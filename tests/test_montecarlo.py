@@ -80,6 +80,12 @@ class TestReplications:
             with pytest.raises(DomainError, match="replication index"):
                 replication_pivots(stat_spec(), rep)
 
+    def test_a_huge_replication_count_reads_like_any_other(self):
+        # the index check renders no bound, so R = 10^5000 is no int-to-str error
+        spec = expl_spec(paths_per_test=4)
+        huge = replication_pivots(replace(spec, replications=10**5000), 0)
+        assert huge.tobytes() == replication_pivots(replace(spec, replications=1), 0).tobytes()
+
     def test_explosive_pivots_are_finite(self):
         vals = replication_pivots(expl_spec(), 0)
         assert np.all(np.isfinite(vals))

@@ -1,13 +1,19 @@
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import dl2u
+from dl2u import dgp, ks, montecarlo, oracles
+from dl2u.errors import DomainError
+from dl2u.sequences import SequenceSpec, dispersion, eval_sequence
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(dl2u.__path__))
 
@@ -50,3 +56,50 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_every_integer_message_is_constant_text():
+    # sequences.integer renders the value only when its check fails; a caller that formats
+    # the value itself does so on every call, and an int of 4,301 digits fails to print
+    calls = [node for path in sorted(Path(dl2u.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "integer"]
+    assert len(calls) >= 17
+    for call in calls:
+        need = call.args[3] if len(call.args) > 3 else next(k.value for k in call.keywords
+                                                            if k.arg == "need")
+        assert not [node for node in ast.walk(need)
+                    if isinstance(node, (ast.FormattedValue, ast.Call))], ast.unparse(call)
+
+
+HUGE = 10**5000  # past Python's 4,300-digit int-to-str limit
+PARAMS = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"), 50)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dgp.RngSeed(HUGE),
+    lambda: dgp.draw_innovations(PARAMS, 0, [HUGE]),
+    lambda: eval_sequence(SequenceSpec.parse("log"), HUGE),
+    lambda: replace(PARAMS, n=HUGE),
+    lambda: dispersion(0.5, HUGE),
+    lambda: ks.ks_pvalue(0.3, HUGE),
+    lambda: montecarlo.replication_pivots(montecarlo.ExperimentSpec(PARAMS), HUGE),
+    lambda: montecarlo.run_table("2a", seed=HUGE),
+    lambda: oracles.check_cross_moment(0.5, 0.9, 1, 3, HUGE),
+    lambda: oracles.check_conditional_mean(0.5, 0.9, HUGE),
+    lambda: oracles.check_cross_moment(0.5, 0.9, 1, HUGE, 5),
+    lambda: oracles.run_moment_suite(HUGE),
+    lambda: oracles.verify(HUGE),
+], ids=["rng-seed-base", "draw-stream", "eval-sequence-n", "model-n", "dispersion-t", "ks-m",
+        "rep", "run-table-seed", "cross-seed", "conditional-seed", "cross-t", "suite-seed",
+        "verify-seed"])
+def test_a_huge_integer_input_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="got an int of 16610 bits$"):
+        call()
+
+
+def test_a_huge_batch_size_is_a_domain_error_naming_its_bits():
+    bits = (HUGE * (PARAMS.n + 1)).bit_length()
+    error = f"paths_per_test * (n + 1) must be below 2^60, got an int of {bits} bits"
+    with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+        montecarlo.ExperimentSpec(PARAMS, paths_per_test=HUGE)

@@ -38,8 +38,20 @@ class TestInteger:
                              ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none",
                                   "below", "at-hi"])
     def test_anything_else_is_the_given_domain_error(self, x):
-        with pytest.raises(DomainError, match="^no$"):
+        with pytest.raises(DomainError, match=f"^no, got {re.escape(repr(x))}$"):
             integer(x, 0, 2**64, "no")
+
+    def test_an_int_past_1024_bits_is_shown_by_its_bit_count(self):
+        # 1,024 bits is 309 digits, below the lowest int-to-str limit a process can set
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for x, shown in [(2**1024 - 1, repr(2**1024 - 1)), (-(2**1024), "an int of 1025 bits"),
+                             (10**5000, "an int of 16610 bits")]:
+                with pytest.raises(DomainError, match=f"^no, got {re.escape(shown)}$"):
+                    integer(x, 0, 1, "no")
+        finally:
+            sys.set_int_max_str_digits(default)
 
 
 class TestSequenceSpec:
@@ -111,11 +123,10 @@ class TestModelParams:
             stat_params(d=0.0)
         with pytest.raises(DomainError):
             stat_params(alpha=-0.1)
-        for n in (-1, 0, 2):
-            with pytest.raises(DomainError, match="at least 3"):
+        for n in (-1, 0, 2, np.int64(2), 2**53 + 1):  # float(n) is exact to 2^53
+            error = f"n must be an integer in [3, 2^53], got {n!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
                 stat_params(n=n)
-        with pytest.raises(DomainError, match=r"at most 2\^53"):  # float(n) is exact to 2^53
-            stat_params(n=2**53 + 1)
         assert stat_params(n=2**53).n == 2**53
         assert type(stat_params(n=np.int64(100)).n) is int
         for n in (100.5, 100.0, True):  # a float n would reach np.empty; True is no 1
@@ -125,6 +136,13 @@ class TestModelParams:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
                     stat_params(**{name: value})
+
+    @pytest.mark.parametrize("field, value", [("regime", "stat"), ("regime", None),
+                                              ("kn", "pow:0.5"), ("rn", "log")])
+    def test_kn_rn_and_regime_must_be_their_types(self, field, value):
+        # a str regime is no Regime.NEAR_STATIONARY, so rho_n would take it as explosive
+        with pytest.raises(DomainError, match="kn and rn must be SequenceSpecs and regime a Regime"):
+            stat_params(**{field: value})
 
 
 class TestRoots:
