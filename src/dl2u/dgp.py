@@ -117,7 +117,7 @@ def _recur(x: np.ndarray, shocks: np.ndarray, coef: float) -> None:
     """
     B, n = shocks.shape
     if B == 1:
-        v, coef = float(x[0, 0]), float(coef)
+        v = float(x[0, 0])  # coef is a float: ModelParams holds floats
         x[0, 1:] = [v := coef * v + s for s in shocks[0].tolist()]
         return
     xt = np.empty((_TILE + 1, B))

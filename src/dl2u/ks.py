@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sequences import integer
+from .sequences import integer, real
 
 __all__ = ["TargetLaw", "KsResult", "cdf", "density", "ks_statistic", "ks_pvalue", "ks_test"]
 
@@ -20,12 +20,13 @@ class TargetLaw:
     variance: float | None
 
     def __post_init__(self):
-        if self.variance is not None and not 0 < self.variance < math.inf:
-            raise DomainError("normal target needs a positive variance")
+        if self.variance is not None:
+            object.__setattr__(self, "variance", real(self.variance, math.ulp(0.0), math.inf,
+                                                      "normal target needs a positive variance"))
 
     @staticmethod
     def normal(variance: float) -> "TargetLaw":
-        return TargetLaw(float(variance))
+        return TargetLaw(variance)
 
     @staticmethod
     def standard_cauchy() -> "TargetLaw":
@@ -120,8 +121,7 @@ def ks_pvalue(d: float, m: int) -> float:
     """Asymptotic two-sided KS p-value with the Stephens small-sample factor:
     P(K > x) as xsf's `kolmogorov` forms it, bit for bit (1 minus the theta series
     in exp(-pi^2 / (8 x^2)) up to x = 0.82, the series in exp(-2 x^2) above)."""
-    if not 0.0 <= d <= 1.0:
-        raise DomainError("KS distance must lie in [0, 1]")
+    d = real(d, 0.0, math.nextafter(1.0, 2.0), "KS distance must lie in [0, 1]")
     m = integer(m, 1, 2**53 + 1, "sample size must be an integer in [1, 2^53]")
     x = (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * d
     if x <= 0.04:  # P(K <= x) < 1e-300, so xsf's 1 - P(K <= x) is 1

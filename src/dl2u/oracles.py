@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import dgp, montecarlo
 from .errors import DomainError, NumericOverflowError
 from .estimator import normalized_sum_squares
 from .sequences import (ModelParams, Regime, SequenceSpec, alpha_squared, dispersion,
-                        eval_sequence, integer, rho_n, scales)
+                        eval_sequence, integer, real, rho_n, scales)
 
 __all__ = [
     "check_cross_moment",
@@ -107,9 +108,8 @@ def check_cross_moment(alpha, phi, s, t, seed) -> dict:
 
 
 def check_conditional_mean(alpha, phi, seed) -> dict:
-    """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2), worst grid point."""
-    if not math.isfinite(phi):  # the closed form takes any finite phi, but not NaN or inf
-        raise DomainError(f"conditional mean needs a finite phi, got phi = {phi}")
+    """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2) at any finite phi, worst grid point."""
+    phi = real(phi, -sys.float_info.max, math.inf, "conditional mean needs a finite phi")
     a2 = alpha_squared(alpha)
     eta = _simulate_z(0.0, alpha, 0, 1, seed)  # z_1 = eta_1 when phi = 0
     checks = []

@@ -12,7 +12,9 @@ never overflow.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +29,7 @@ __all__ = [
     "ModelParams",
     "VolatilityScales",
     "integer",
+    "real",
     "alpha_squared",
     "dispersion",
     "eval_sequence",
@@ -36,15 +39,26 @@ __all__ = [
 ]
 
 
-def integer(x, lo: float, hi: float, need: str) -> int:
-    """int(x) for an int or numpy integer in [lo, hi), but no bool; else DomainError(f"{need}, got
-    {value}"), value being repr(x), or "an int of N bits" past 1,024 bits (309 digits, below the
-    lowest int-to-str limit, 640 digits), so the message never raises.  need is constant text:
-    nothing is formatted unless the check fails."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= (v := int(x)) < hi:
-        return v
+def _number(x, kinds: tuple, cast, lo: float, hi: float, need: str):
+    """cast(x) for an x of `kinds`, but no bool, with cast(x) in [lo, hi); else
+    DomainError(f"{need}, got {value}"), value being repr(x), or "an int of N bits" past 1,024
+    bits (309 digits, below any int-to-str limit).  need is constant text, formatted on failure."""
+    with contextlib.suppress(OverflowError):  # float(x) of an int from 2^1024 - 2^970 on
+        if isinstance(x, kinds) and not isinstance(x, bool) and lo <= (v := cast(x)) < hi:
+            return v
     big = isinstance(x, int) and x.bit_length() > 1024
     raise DomainError(f"{need}, got {f'an int of {x.bit_length()} bits' if big else repr(x)}")
+
+
+def integer(x, lo: float, hi: float, need: str) -> int:
+    """int(x) for an int or numpy integer in [lo, hi); else need's DomainError (see `_number`)."""
+    return _number(x, (int, np.integer), int, lo, hi, need)
+
+
+def real(x, lo: float, hi: float, need: str) -> float:
+    """`integer`'s rule for float(x) of an int, float or numpy integer or floating; open ends are
+    exact doubles: ulp(0.0) for > 0, nextafter(1.0, 2.0) for <= 1, -float_info.max for finite."""
+    return _number(x, (int, float, np.integer, np.floating), float, lo, hi, need)
 
 
 class SequenceKind(Enum):  # each value is the kind's head in CLI notation
@@ -62,12 +76,12 @@ class SequenceSpec:
     value: float | None = None  # constant value or power exponent
 
     def __post_init__(self):
-        if self.kind is SequenceKind.CONSTANT:
-            if self.value is None or not 0 < self.value < math.inf:
-                raise DomainError("constant sequence needs a positive finite value")
-        elif self.kind is SequenceKind.POWER_OF_N:
-            if self.value is None or not 0 < self.value <= 1:
-                raise DomainError("power sequence needs exponent in (0, 1]")
+        if self.kind is SequenceKind.CONSTANT or self.kind is SequenceKind.POWER_OF_N:
+            const = self.kind is SequenceKind.CONSTANT
+            value = real(self.value, math.ulp(0.0), math.inf if const else math.nextafter(1.0, 2.0),
+                         "constant sequence needs a positive finite value" if const
+                         else "power sequence needs exponent in (0, 1]")
+            object.__setattr__(self, "value", value)
         elif self.value is not None:
             raise DomainError(f"{self.kind.value} sequence takes no parameter")
 
@@ -129,15 +143,11 @@ class ModelParams:
         if not (isinstance(self.kn, SequenceSpec) and isinstance(self.rn, SequenceSpec)
                 and isinstance(self.regime, Regime)):  # a str regime would read as explosive
             raise DomainError("kn and rn must be SequenceSpecs and regime a Regime")
-        for name in ("c", "d", "alpha", "y0", "z0"):
-            if not math.isfinite(getattr(self, name)):  # NaN and inf pass the range checks below
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.c < 0:
-            raise DomainError("c must be nonnegative")
-        if self.d <= 0:
-            raise DomainError("d must be positive")
-        if self.alpha < 0:
-            raise DomainError("alpha must be nonnegative")
+        for names, lo, rule in (("c alpha", 0.0, " must be finite and nonnegative"),
+                                ("d", math.ulp(0.0), " must be finite and positive"),
+                                ("y0 z0", -sys.float_info.max, " must be finite")):
+            for name in names.split():
+                object.__setattr__(self, name, real(getattr(self, name), lo, math.inf, name + rule))
         n = integer(self.n, 3, 2**53 + 1, "n must be an integer in [3, 2^53]")  # eval_sequence's n
         object.__setattr__(self, "n", n)
 
@@ -179,8 +189,7 @@ def phi_n(params: ModelParams) -> float:
 
 def alpha_squared(alpha: float) -> float:
     """alpha^2 of the closed forms; NumericOverflowError where it leaves the float range."""
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    alpha = real(alpha, -sys.float_info.max, math.inf, "alpha must be finite")
     if (a2 := alpha * alpha) == math.inf:  # alpha**2 would raise a bare OverflowError
         raise NumericOverflowError(f"alpha^2 leaves the float range at alpha = {alpha:g}")
     return a2
@@ -192,8 +201,7 @@ def dispersion(phi: float, t):
     t is an int in [0, 2^63), which gives a float, or a 1-d int array of t >= 0.  libm's
     expm1 runs at every t (numpy's SIMD expm1 rounds some of them 1 ulp apart).
     """
-    if not 0.0 < phi < 1.0:  # phi_n's range; NaN fails it too
-        raise DomainError(f"A_t needs phi in (0, 1), got phi = {phi}")
+    phi = real(phi, math.ulp(0.0), 1.0, "A_t needs phi in (0, 1)")  # phi_n's range
     if np.ndim(t) == 0:  # below 2^63, np.atleast_1d(t) is int64
         t = integer(t, 0, 2**63, "A_t needs an integer t in [0, 2^63)")
     elif np.asarray(t).dtype.kind not in "iu" or np.min(t, initial=0) < 0:

@@ -59,13 +59,16 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_every_integer_message_is_constant_text():
-    # sequences.integer renders the value only when its check fails; a caller that formats
-    # the value itself does so on every call, and an int of 4,301 digits fails to print
-    calls = [node for path in sorted(Path(dl2u.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "integer"]
-    assert len(calls) >= 17
-    for call in calls:
+    # sequences.integer and sequences.real render the value only when their check fails; a
+    # caller that formats the value itself does so on every call, and an int of 4,301 digits
+    # fails to print
+    calls = {"integer": [], "real": []}
+    for path in sorted(Path(dl2u.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+                calls[node.func.id].append(node)
+    assert len(calls["integer"]) >= 17 and len(calls["real"]) >= 7
+    for call in calls["integer"] + calls["real"]:
         need = call.args[3] if len(call.args) > 3 else next(k.value for k in call.keywords
                                                             if k.arg == "need")
         assert not [node for node in ast.walk(need)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import sys
@@ -9,16 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dl2u import cli, dgp, estimator
 from dl2u.errors import DomainError, NumericOverflowError
+from dl2u.ks import TargetLaw, ks_pvalue
 from dl2u.montecarlo import table_params
+from dl2u.oracles import check_conditional_mean
 from dl2u.sequences import (
     Regime,
     SequenceKind,
     SequenceSpec,
+    alpha_squared,
     dispersion,
     eval_sequence,
     integer,
     phi_n,
+    real,
     rho_n,
     scales,
 )
@@ -52,6 +58,67 @@ class TestInteger:
                     integer(x, 0, 1, "no")
         finally:
             sys.set_int_max_str_digits(default)
+
+
+# every real-valued input the library takes, with a value just outside its range
+REAL_INPUTS = {
+    "model-c": (lambda x: stat_params(c=x), -math.ulp(0.0)),
+    "model-d": (lambda x: stat_params(d=x), 0.0),
+    "model-alpha": (lambda x: stat_params(alpha=x), -math.ulp(0.0)),
+    "model-y0": (lambda x: stat_params(y0=x), 2**1024 - 2**970),  # the least int float() overflows
+    "model-z0": (lambda x: stat_params(z0=x), -(2**1024 - 2**970)),
+    "const-value": (lambda x: SequenceSpec(SequenceKind.CONSTANT, x), 0.0),
+    "pow-value": (lambda x: SequenceSpec(SequenceKind.POWER_OF_N, x), math.nextafter(1.0, 2.0)),
+    "target-variance": (TargetLaw, 0.0),
+    "alpha-squared": (alpha_squared, 2**1024 - 2**970),
+    "dispersion-phi": (lambda x: dispersion(x, 3), 1.0),
+    "conditional-phi": (lambda x: check_conditional_mean(0.5, x, 5), 2**1024 - 2**970),
+    "ks-d": (lambda x: ks_pvalue(x, 10), math.nextafter(1.0, 2.0)),
+}
+BAD_REALS = {"str": "1", "none": None, "complex": 1 + 0j, "bool": True, "numpy-bool": np.True_,
+             "10^400": 10**400, "10^5000": 10**5000, "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf}
+BAD_REAL_CASES = [(site, bad) for site in REAL_INPUTS for bad in [*BAD_REALS, "outside"]
+                  if (site, bad) != ("target-variance", "none")]  # TargetLaw(None) is the Cauchy
+
+
+class TestReal:
+    def test_returns_a_python_float_in_range(self):
+        for x, lo, hi in [(3, 0.0, math.inf), (np.float32(0.3), 0.0, 1.0), (np.int64(-2), -2, 0),
+                          (1.0, math.ulp(0.0), math.nextafter(1.0, 2.0)),
+                          (-sys.float_info.max, -sys.float_info.max, math.inf)]:
+            value = real(x, lo, hi, "no")
+            assert type(value) is float and value == float(x)
+
+    @pytest.mark.parametrize("site, bad", BAD_REAL_CASES,
+                             ids=[f"{site}-{bad}" for site, bad in BAD_REAL_CASES])
+    def test_every_bad_real_input_is_a_domain_error(self, site, bad):
+        # Unchecked, a str or complex raised a bare TypeError, an int past the float range a bare
+        # OverflowError, and a bool passed as 1.0; a const value or variance of 10^400 was taken,
+        # then raised OverflowError from rho_n, label(), replication_pivots or ks.cdf.
+        call, outside = REAL_INPUTS[site]
+        x = outside if bad == "outside" else BAD_REALS[bad]
+        big = isinstance(x, int) and x.bit_length() > 1024
+        shown = f"an int of {x.bit_length()} bits" if big else repr(x)
+        with pytest.raises(DomainError, match=f", got {re.escape(shown)}$"):
+            call(x)
+
+    def test_numpy_float32_parameters_run_in_double_precision(self):
+        # NumPy 2 keeps np.float32 * float in float32: an unconverted float32 c makes rho_n float32
+        f32 = {"c": np.float32(0.3), "d": np.float32(0.7), "alpha": np.float32(0.5),
+               "y0": np.float32(0.1), "z0": np.float32(-0.2)}
+        for table in ("2a", "2b"):
+            kn = SequenceSpec(SequenceKind.POWER_OF_N, np.float32(0.3))
+            single = replace(table_params(table, kn, 60), **f32)
+            double = replace(table_params(table, SequenceSpec(SequenceKind.POWER_OF_N,
+                                                              float(np.float32(0.3))), 60),
+                             **{name: float(v) for name, v in f32.items()})
+            (y1, u1), (y2, u2) = (dgp.simulate_batch(p, 9, [0, 1, 2]) for p in (single, double))
+            assert y1.tobytes() == y2.tobytes() and u1.tobytes() == u2.tobytes()
+            assert (estimator.pivots(single, y1, u1).tobytes()
+                    == estimator.pivots(double, y2, u2).tobytes())
+            assert type(rho_n(single)) is float
+            assert json.loads(json.dumps(cli._params_meta(single))) == cli._params_meta(double)
 
 
 class TestSequenceSpec:
