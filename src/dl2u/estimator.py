@@ -132,6 +132,8 @@ def _log_rescale(value, log_factor: float, n_log_rho: float, what: str):
 
 def pivots(params: ModelParams, y, u) -> np.ndarray:
     """Score-form pivots of paths y (B, n+1), u (B, n); one row replays a table pivot."""
+    if np.shape(y)[1:] != (params.n + 1,) or np.shape(u) != (np.shape(y)[0], params.n):
+        raise DomainError(f"pivots at n = {params.n} need paths y (B, n+1) and u (B, n)")
     lag = y[:, :-1]
     den = np.einsum("ij,ij->i", lag, lag)
     overflowed = ~np.isfinite(den)  # y is finite, but its squares overflow first

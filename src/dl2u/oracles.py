@@ -92,12 +92,10 @@ def check_cross_moment(alpha, phi, s, t, seed) -> dict:
     as E[sigma_t^2] = exp(alpha^2 A_t) at s = 0 (z_0 = 0, A_0 = 0) and E[sigma_t^4] at s = t."""
     t = integer(t, 0, math.inf, "cross moment needs integers 0 <= s <= t")
     s = integer(s, 0, t + 1, "cross moment needs integers 0 <= s <= t")
-    a2 = alpha_squared(alpha)  # the closed form's domain is checked before any draw
-    log_closed = (
-        a2 * dispersion(phi, s)
-        + a2 * dispersion(phi, t)
-        + 2.0 * a2 * phi ** (t - s) * dispersion(phi, s)
-    )
+    # the closed form's domain is checked before any draw; then only the checked floats are read
+    a2, a_s, a_t = alpha_squared(alpha), dispersion(phi, s), dispersion(phi, t)
+    alpha, phi = float(alpha), float(phi)
+    log_closed = a2 * a_s + a2 * a_t + 2.0 * a2 * phi ** (t - s) * a_s
     if s == 0:
         label = f"mean_sigma2(alpha={alpha},phi={phi},t={t})"
     elif s == t:
@@ -110,7 +108,7 @@ def check_cross_moment(alpha, phi, s, t, seed) -> dict:
 def check_conditional_mean(alpha, phi, seed) -> dict:
     """E[sigma_t^2 | z_{t-1} = z] = exp(phi z + alpha^2 / 2) at any finite phi, worst grid point."""
     phi = real(phi, -sys.float_info.max, math.inf, "conditional mean needs a finite phi")
-    a2 = alpha_squared(alpha)
+    a2, alpha = alpha_squared(alpha), float(alpha)
     eta = _simulate_z(0.0, alpha, 0, 1, seed)  # z_1 = eta_1 when phi = 0
     checks = []
     for z_prev in np.linspace(-2.0, 2.0, 5):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dl2u.dgp import RngSeed, SimulatedPath, simulate_path
+from dl2u.dgp import RngSeed, SimulatedPath, simulate_batch, simulate_path
 from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.estimator import (
     OlsResult,
@@ -135,6 +135,17 @@ class TestPivots:
             pivots(p, y, u)
         with pytest.raises(NumericOverflowError, match="2c"):
             pivot_S(OlsResult(1.0, 1.0), p, rho_error=1e-4)
+
+    def test_paths_of_another_n_are_a_domain_error(self):
+        # n = 100 paths must not take the n = 50 model's normalization silently, nor a short u
+        # or a 1-d y escape as einsum's bare ValueError or an IndexError
+        p = table_params("1a", SequenceSpec.parse("pow:0.5"), 50)
+        big = replace(p, n=100)
+        y, u = simulate_batch(big, 0, [0, 1])
+        for args in [(p, y, u), (big, y, u[:, :-1]), (big, y[0], u[0]), (big, y, u[:1])]:
+            with pytest.raises(DomainError, match=r"need paths y \(B, n\+1\) and u \(B, n\)"):
+                pivots(*args)
+        assert pivots(big, y, u).shape == (2,)
 
 
 class TestNormalizedQuantities:

@@ -68,6 +68,15 @@ class TestClosedForms:
         ints = check_cross_moment(0.5, 0.9, 2, 4, seed=303)
         assert check_cross_moment(0.5, 0.9, np.int64(2), np.uint8(4), seed=303) == ints
 
+    def test_numpy_floats_give_the_record_of_the_float_they_equal(self):
+        # a float32 phi must not form phi^(t-s) in single precision, nor a long double alpha
+        # draw, label and pick the worst grid point in long double
+        alpha, phi = np.float32(0.3), np.float32(0.9)
+        assert (check_cross_moment(alpha, phi, 1, 3, seed=5)
+                == check_cross_moment(float(alpha), float(phi), 1, 3, seed=5))
+        assert (check_conditional_mean(np.longdouble(0.5), 0.9, seed=5)
+                == check_conditional_mean(0.5, 0.9, seed=5))
+
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200, 1.5, True],
                              ids=["negative", "2^128", "2^200", "fraction", "bool"])
     @pytest.mark.parametrize("check, args", [

@@ -14,7 +14,7 @@ from dl2u import cli, dgp, estimator
 from dl2u.errors import DomainError, NumericOverflowError
 from dl2u.ks import TargetLaw, ks_pvalue
 from dl2u.montecarlo import table_params
-from dl2u.oracles import check_conditional_mean
+from dl2u.oracles import check_conditional_mean, check_cross_moment
 from dl2u.sequences import (
     Regime,
     SequenceKind,
@@ -73,6 +73,8 @@ REAL_INPUTS = {
     "alpha-squared": (alpha_squared, 2**1024 - 2**970),
     "dispersion-phi": (lambda x: dispersion(x, 3), 1.0),
     "conditional-phi": (lambda x: check_conditional_mean(0.5, x, 5), 2**1024 - 2**970),
+    "cross-alpha": (lambda x: check_cross_moment(x, 0.9, 1, 3, 5), 2**1024 - 2**970),
+    "cross-phi": (lambda x: check_cross_moment(0.5, x, 1, 3, 5), 1.0),
     "ks-d": (lambda x: ks_pvalue(x, 10), math.nextafter(1.0, 2.0)),
 }
 BAD_REALS = {"str": "1", "none": None, "complex": 1 + 0j, "bool": True, "numpy-bool": np.True_,
@@ -85,6 +87,7 @@ BAD_REAL_CASES = [(site, bad) for site in REAL_INPUTS for bad in [*BAD_REALS, "o
 class TestReal:
     def test_returns_a_python_float_in_range(self):
         for x, lo, hi in [(3, 0.0, math.inf), (np.float32(0.3), 0.0, 1.0), (np.int64(-2), -2, 0),
+                          (np.longdouble(1) / 3, 0.0, 1.0),
                           (1.0, math.ulp(0.0), math.nextafter(1.0, 2.0)),
                           (-sys.float_info.max, -sys.float_info.max, math.inf)]:
             value = real(x, lo, hi, "no")
