@@ -105,15 +105,13 @@ def _stationary_scale(params: ModelParams) -> float:
 
 def _log_explosive_scale(params: ModelParams) -> tuple[float, float]:
     """(log(rho_n^n k_n / (2c)), n log rho_n) of the explosive regime."""
-    if params.regime is not Regime.MILDLY_EXPLOSIVE:
-        raise DomainError("the explosive pivot requires the mildly explosive regime")
-    if params.c <= 0:
-        raise DomainError("the explosive pivot needs c > 0")
-    if 2.0 * params.c == math.inf:
+    if params.regime is not Regime.MILDLY_EXPLOSIVE or params.c <= 0:
+        raise DomainError("the explosive pivot needs the mildly explosive regime and c > 0")
+    if (two_c := 2.0 * params.c) == math.inf:
         raise NumericOverflowError("explosive scale overflow: 2c exceeds the float range")
     n_log_rho = params.n * math.log(rho_n(params))
     kn = eval_sequence(params.kn, params.n)
-    return n_log_rho + math.log(kn) - math.log(2.0 * params.c), n_log_rho
+    return n_log_rho + math.log(kn) - math.log(two_c), n_log_rho
 
 
 def _check_explosive_overflow(log_mag, n_log_rho: float, what: str) -> None:

@@ -66,7 +66,8 @@ def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
     """Simulate B paths for replication `rep` and return their pivot values."""
     rep = integer(rep, 0, spec.replications, "replication index outside [0, replications)")
     B = spec.paths_per_test
-    streams = np.arange(rep * B, (rep + 1) * B, dtype=np.uint64)
+    end = integer((rep + 1) * B, 0, 2**64 + 1, "(rep + 1) * paths_per_test must be at most 2^64")
+    streams = np.arange(rep * B, end, dtype=np.uint64)
     try:
         y, u = dgp.simulate_batch(spec.params, spec.seed, streams)
         return pivots(spec.params, y, u)
@@ -183,10 +184,10 @@ def emit_histogram(spec: ExperimentSpec, bins: int) -> dict:
     before binning (Cauchy tails make fixed-width bins useless otherwise).
     """
     bins = integer(bins, 10, np.inf, "need at least 10 bins")
+    law = target_law(spec.params)
     pooled = np.concatenate(
         [replication_pivots(spec, rep) for rep in range(spec.replications)]
     )
-    law = target_law(spec.params)
     kept = pooled
     if spec.params.regime is Regime.MILDLY_EXPLOSIVE:
         lo, hi = np.quantile(pooled, (0.01, 0.99))

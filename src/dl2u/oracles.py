@@ -129,8 +129,8 @@ def check_eq6_convergence(params_grid, seed: int) -> dict:
     """
     if len(params_grid) < 2:
         raise DomainError("need at least two grid points")
-    if any(params.regime is not Regime.NEAR_STATIONARY for params in params_grid):
-        raise DomainError("eq6 convergence check is near-stationary only")
+    if any(params.regime is not Regime.NEAR_STATIONARY or params.c <= 0 for params in params_grid):
+        raise DomainError("eq6 convergence check needs near-stationary points with c > 0")
     entries = []
     for params in params_grid:
         vol = scales(params)
@@ -160,8 +160,8 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     paths run in the fewest blocks whose two arrays fit BATCH_BYTES (in dl2u
     verify, two halves of 1000); W and V are one whole batch's, bit for bit.
     """
-    if params.regime is not Regime.MILDLY_EXPLOSIVE:
-        raise DomainError("W/V check is explosive-regime only")
+    if params.regime is not Regime.MILDLY_EXPLOSIVE or params.c <= 0:
+        raise DomainError("W/V check needs the mildly explosive regime and c > 0")
     vol = scales(params)
     rho = rho_n(params)
     kn = eval_sequence(params.kn, params.n)

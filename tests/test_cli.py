@@ -253,6 +253,8 @@ class TestVerify:
 
     # SHA-256 of the report: every oracle simulation keeps every bit of every seed
     @pytest.mark.parametrize("seed, digest", [
+        ("0", "a072457cb8d5dc808750697a26ff56c4ea7d7111d94758771f413e0993d76feb"),
+        ("12345", "6e0a791a8f0f60ac0ffb240e59b231cc43fedf96b329f681c28b27a99a0ea03f"),
         ("707", "ea27f661e9de0527c55594551b3a0c015031afede309e29ab28793ef9efc8fc8"),
         ("1", "05658385f5b831c10cf7f7dcce4b94db017e6abec15347a3a718c50e9efd61b2"),
     ])

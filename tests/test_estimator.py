@@ -135,6 +135,20 @@ class TestPivots:
             pivots(p, y, u)
         with pytest.raises(NumericOverflowError, match="2c"):
             pivot_S(OlsResult(1.0, 1.0), p, rho_error=1e-4)
+        q = expl_params(c=1e308)  # scales needs n >= 16 here
+        with pytest.raises(NumericOverflowError, match="2c"):
+            explosive_pair(np.ones(q.n + 1), np.ones(q.n), q, scales(q))
+
+    def test_explosive_entries_need_c_above_zero(self):
+        # each divides by 2c, so c = 0 fails the one regime-and-c test they share
+        p = expl_params(c=0.0)
+        y, u = np.ones((1, p.n + 1)), np.ones((1, p.n))
+        with pytest.raises(DomainError, match="c > 0"):
+            pivots(p, y, u)
+        with pytest.raises(DomainError, match="c > 0"):
+            pivot_S(OlsResult(1.0, 1.0), p, rho_error=1e-4)
+        with pytest.raises(DomainError, match="c > 0"):
+            explosive_pair(y[0], u[0], p, scales(p))
 
     def test_paths_of_another_n_are_a_domain_error(self):
         # n = 100 paths must not take the n = 50 model's normalization silently, nor a short u

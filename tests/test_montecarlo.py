@@ -86,6 +86,21 @@ class TestReplications:
         huge = replication_pivots(replace(spec, replications=10**5000), 0)
         assert huge.tobytes() == replication_pivots(replace(spec, replications=1), 0).tobytes()
 
+    def test_streams_end_at_2_64(self, monkeypatch):
+        # rep * B + j wrapped past 2^64 to streams 0, 1, ..., or raised numpy's OverflowError
+        last = stat_spec(paths_per_test=4, replications=2**64)
+        streams = [2**64 - 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]
+        expected = pivots(last.params, *simulate_batch(last.params, last.seed, streams))
+        assert replication_pivots(last, 2**62 - 1).tobytes() == expected.tobytes()
+
+        def no_draw(*args):
+            raise AssertionError("a path was drawn")
+        monkeypatch.setattr(dl2u.dgp, "simulate_batch", no_draw)
+        for B, rep in [(6, 2**64 // 6), (12, 2**64 // 12), (3, (2**64 - 1) // 3), (1, 2**64)]:
+            spec = stat_spec(paths_per_test=B, replications=2**65)
+            with pytest.raises(DomainError, match="paths_per_test must be at most 2\\^64"):
+                replication_pivots(spec, rep)
+
     def test_explosive_pivots_are_finite(self):
         vals = replication_pivots(expl_spec(), 0)
         assert np.all(np.isfinite(vals))

@@ -21,7 +21,7 @@ from dl2u.oracles import (
     check_wnvn,
     run_moment_suite,
 )
-from dl2u.montecarlo import table_params
+from dl2u.montecarlo import ExperimentSpec, emit_histogram, table_params
 from dl2u.sequences import SequenceSpec, dispersion, eval_sequence, rho_n, scales
 
 
@@ -200,6 +200,22 @@ class TestConvergenceChecks:
     def test_wnvn_regime_guard(self):
         with pytest.raises(DomainError):
             check_wnvn(stat_params(), seed=606)
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_eq6_convergence([stat_params(c=0.0), stat_params()], seed=505),
+        lambda: check_eq6_convergence([stat_params(), VERIFY_WNVN], seed=505),
+        lambda: check_wnvn(replace(VERIFY_WNVN, c=0.0), seed=606),
+        lambda: check_wnvn(stat_params(), seed=606),
+        lambda: emit_histogram(ExperimentSpec(stat_params(c=0.0, n=100), 50, 4), bins=20),
+    ], ids=["eq6-c0", "eq6-explosive", "wnvn-c0", "wnvn-stationary", "hist-c0"])
+    def test_a_2c_limit_off_its_domain_fails_before_any_draw(self, monkeypatch, check):
+        # at c = 0, eq6 and wn_vn drew every path, then stopped on a bare ZeroDivisionError
+        def no_draw(*args):
+            raise AssertionError("a path was drawn")
+        monkeypatch.setattr(dgp, "simulate_y", no_draw)
+        monkeypatch.setattr(dgp, "simulate_batch", no_draw)
+        with pytest.raises(DomainError):
+            check()
 
 
 class TestVerify:
