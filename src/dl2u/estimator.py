@@ -89,6 +89,7 @@ def target_law(params: ModelParams) -> TargetLaw:
     """Limit law of the regime's pivot: N(0, 2c), or the standard Cauchy."""
     if params.regime is Regime.NEAR_STATIONARY:
         return TargetLaw.normal(2.0 * params.c)
+    _log_explosive_scale(params)  # the Cauchy limit needs the pivot's scale: c > 0
     return TargetLaw.standard_cauchy()
 
 

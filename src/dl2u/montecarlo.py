@@ -60,6 +60,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         integer(self.paths_per_test * (self.params.n + 1), 0, 2**60,  # numpy's largest array;
                 "paths_per_test * (n + 1) must be below 2^60")  # a smaller one may be a MemoryError
+        target_law(self.params)  # a row with no limit law (c = 0) fails here, before any draw
 
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:

@@ -119,10 +119,15 @@ class TestReplications:
             assert batched[j] == pytest.approx(scalar.value, rel=1e-9)
 
     def test_explosive_c_zero_is_domain_error(self):
+        # a row with no limit law is rejected when it is built, before any draw
         spec = expl_spec()
-        spec = replace(spec, params=replace(spec.params, c=0.0))
         with pytest.raises(DomainError, match="c > 0"):
-            replication_pivots(spec, 0)
+            replace(spec, params=replace(spec.params, c=0.0))
+
+    def test_stationary_c_zero_is_domain_error(self):
+        spec = stat_spec()
+        with pytest.raises(DomainError, match="normal target needs a positive variance"):
+            replace(spec, params=replace(spec.params, c=0.0))
 
     def test_overflow_names_replication_and_exponent(self):
         spec = stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.parse("const:1e+308")))

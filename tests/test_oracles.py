@@ -207,9 +207,12 @@ class TestConvergenceChecks:
         lambda: check_wnvn(replace(VERIFY_WNVN, c=0.0), seed=606),
         lambda: check_wnvn(stat_params(), seed=606),
         lambda: emit_histogram(ExperimentSpec(stat_params(c=0.0, n=100), 50, 4), bins=20),
-    ], ids=["eq6-c0", "eq6-explosive", "wnvn-c0", "wnvn-stationary", "hist-c0"])
+        lambda: emit_histogram(ExperimentSpec(replace(VERIFY_WNVN, c=0.0, n=100), 50, 4), bins=20),
+    ], ids=["eq6-c0", "eq6-explosive", "wnvn-c0", "wnvn-stationary", "hist-c0",
+            "hist-explosive-c0"])
     def test_a_2c_limit_off_its_domain_fails_before_any_draw(self, monkeypatch, check):
-        # at c = 0, eq6 and wn_vn drew every path, then stopped on a bare ZeroDivisionError
+        # at c = 0, eq6 and wn_vn drew every path, then stopped on a bare ZeroDivisionError,
+        # and an explosive histogram drew a replication's paths before the pivot raised
         def no_draw(*args):
             raise AssertionError("a path was drawn")
         monkeypatch.setattr(dgp, "simulate_y", no_draw)
