@@ -87,7 +87,8 @@ def draw_innovations(
             philox["counter"] = counter
             bitgen.state = state
             normal(out=out[j])
-    eta *= params.alpha
+    with np.errstate(over="ignore"):  # a huge alpha makes inf here, which _fill_y reports
+        eta *= params.alpha
     return eps, eta
 
 

@@ -41,15 +41,12 @@ VERIFY_WNVN = montecarlo.table_params("2a", SequenceSpec.parse("pow:0.5"))
 
 
 def _check(label: str, log_values: np.ndarray, log_closed: float, log_scale: float = 0.0) -> dict:
-    """The record of the mean of exp(log_scale) exp(log_values) against exp(log_closed), as
-    `dl2u verify` prints it; NumericOverflowError if a moment or its sample leaves the float range."""
+    """The record of mean(exp(log_scale) exp(log_values)) against exp(log_closed), as dl2u verify
+    prints it; NumericOverflowError if a moment, a sample value or the sample's sum overflows."""
     with np.errstate(over="raise"):
         try:
             values, closed = math.exp(log_scale) * np.exp(log_values), math.exp(log_closed)
-            if np.ptp(values) == 0.0:  # constant sample: mean is exact, error zero
-                mc, se = float(values[0]), 0.0
-            else:
-                mc, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+            mc, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
         except (OverflowError, FloatingPointError):
             closed = math.inf
     if closed == math.inf:  # math.exp(inf) is inf, without an OverflowError
@@ -74,8 +71,8 @@ def _stream_blocks(paths: int, path_bytes: int) -> list[np.ndarray]:
 def _simulate_z(phi: float, alpha: float, s: int, t: int, seed: int) -> np.ndarray:
     """Antithetic draws of z_s + z_t, z_t = sum_j phi^j eta_{t-j} and z_0 = 0, for 0 <= s <= t."""
     seed = integer(seed, 0, 2**128, "moment check needs an integer seed in [0, 2^128)")
-    if alpha == 0:  # z is zero: one value, which _check reads as a constant sample, and no draw
-        return np.zeros(1)
+    if alpha == 0:  # z is zero: one antithetic pair, whose mean is exact and error 0, and no draw
+        return np.zeros(2)
     half = DRAWS // 2
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = z_s = np.zeros(half)

@@ -435,6 +435,14 @@ class TestParser:
         assert got == code
         assert message in err
 
+    def test_huge_alpha_exits_4_under_warnings_as_errors(self, capsys):
+        # alpha * eta overflows before the recursion, which must warn nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "simulate", "--n", "20", "--alpha", "1e308")
+        assert code == EXIT_OVERFLOW
+        assert err.startswith("numeric overflow: ") and err.count("\n") == 1
+
     def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
         # the benchmark wraps cli.cmd_* after the parser may have been built
         assert main(["simulate", "--n", "20"]) == EXIT_OK
@@ -707,7 +715,7 @@ def _either(good, wild):
 
 
 WILD = st.floats(allow_nan=True, allow_infinity=True)
-VALUES = _either(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1e300]), WILD).map(repr)
+VALUES = _either(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1e300, 1e308]), WILD).map(repr)
 SEEDS = _either(st.integers(0, 2**64 - 1), st.integers(max_value=-1)
                 | st.integers(min_value=2**64, max_value=2**70))
 SPECS = _either(st.sampled_from(["log", "lin", "pow:0.25", "pow:0.5", "const:3"]), st.one_of(

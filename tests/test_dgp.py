@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,17 @@ class TestOverflow:
         with pytest.raises(NumericOverflowError) as single:
             simulate_path(self.P, RngSeed(2, streams[0]))
         assert str(single.value) == str(batch.value)
+
+    @pytest.mark.parametrize("simulate", [
+        simulate_batch, simulate_y,
+        lambda params, base, streams: simulate_path(params, RngSeed(base, streams[0])),
+    ], ids=["batch", "y-alone", "single-path"])
+    def test_huge_alpha_raises_without_a_warning(self, simulate):
+        # alpha * eta overflows before the recursion; the check of y reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="^y overflowed"):
+                simulate(stat_params(alpha=1e308), 0, [0, 1, 2])
 
     @pytest.mark.parametrize("params", [P, stat_params(z0=710.0)], ids=["y", "sigma2_0"])
     def test_y_alone_raises_as_the_batch(self, params):

@@ -102,8 +102,10 @@ class TestClosedForms:
         (check_cross_moment, (1e154, 0.9, 3, 3), "fourth_moment(alpha=1e+154,phi=0.9,t=3)"),
         (check_cross_moment, (2e154, 0.9, 1, 3), "alpha^2"),
         (check_conditional_mean, (2e154, 0.9), "alpha^2"),
+        # at alpha = 0 the z = 2 values are one pair, finite, whose sum is not
+        (check_conditional_mean, (0.0, 354.7), "conditional_mean(alpha=0.0,phi=354.7,z=2)"),
     ], ids=["closed-form", "conditional-closed-form", "sampled-exp", "alpha-square",
-            "conditional-alpha-square"])
+            "conditional-alpha-square", "alpha-zero-pair-sum"])
     def test_overflow_is_the_packages_error(self, check, args, label):
         # neither a bare OverflowError nor numpy's overflow warning may escape the check
         with warnings.catch_warnings():
@@ -127,6 +129,7 @@ class TestDegenerateAlpha:
         ]:
             assert chk["z_score"] == 0.0
             assert chk["mc_estimate"] == chk["closed_form"]
+            assert chk["mc_std_error"] == 0.0
             assert chk["passed"]
 
 

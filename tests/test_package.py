@@ -53,8 +53,9 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(dl2u.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+    # -W error: a warning on any command's fresh-process path fails here
+    result = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
     assert result.stdout.splitlines() == ["[]", "[]"]
 
 
