@@ -156,13 +156,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     params = _params_from(args)
+    target = target_law(params)  # and the pivot's scale: a model error exits before the read
     y, u = _read_path_csv(args.path, params.n)
     pivot = pivot_T if params.regime is Regime.NEAR_STATIONARY else pivot_S
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results exit 4 below
         ols = ols_rho(y)
         rho_err = score_rho_error(SimulatedPath(y=y, sigma2=np.ones_like(y), u=u))
         piv = pivot(ols, params, rho_error=rho_err)
-        target = target_law(params)  # before the finiteness check: c = 0 exits 3, not 4
     if not (math.isfinite(ols.rho_hat) and math.isfinite(piv.value)):
         raise NumericOverflowError(f"the sums over {args.path} overflow: rho_hat = {ols.rho_hat}")
     report = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError
-from .sequences import ModelParams, integer, phi_n, rho_n
+from .sequences import _LOG_DBL_MAX, ModelParams, integer, phi_n, rho_n
 
 __all__ = [
     "RngSeed", "SimulatedPath", "draw_innovations", "simulate_path", "simulate_batch", "simulate_y",
@@ -147,6 +147,8 @@ def _shocks(params: ModelParams, base: int, streams, eps=None, sigma2=None) -> n
     0, so sigma2 is exactly 1 and u is eps: the volatility pass is skipped.
     """
     phi = phi_n(params)  # first, for its errors
+    if params.z0 > _LOG_DBL_MAX:  # sigma2_0 reaches no u, so the check of y would miss it
+        raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
     kept = sigma2 is not None
     if not kept:
         sigma2 = np.empty((len(streams) if params.alpha > 0 else 1, params.n + 1))
@@ -159,8 +161,6 @@ def _shocks(params: ModelParams, base: int, streams, eps=None, sigma2=None) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         _recur(sigma2, sigma2[:, 1:], phi)
         np.exp(sigma2, out=sigma2)
-        if sigma2[0, 0] == np.inf:  # sigma2_0 reaches no u, so the check of y misses it
-            raise NumericOverflowError(f"sigma2_0 = exp(z0) overflowed at z0 = {params.z0:g}")
         u *= np.sqrt(sigma2[:, 1:], out=None if kept else sigma2[:, 1:])
     return u
 

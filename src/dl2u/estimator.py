@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericOverflowError
 from .ks import TargetLaw
-from .sequences import ModelParams, Regime, VolatilityScales, eval_sequence, rho_n
+from .sequences import _LOG_DBL_MAX, ModelParams, Regime, VolatilityScales, eval_sequence, rho_n
 
 __all__ = [
     "OlsResult",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _DEGENERATE_DENOM = 1e-300
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,7 @@ class PivotValue:
 def target_law(params: ModelParams) -> TargetLaw:
     """Limit law of the regime's pivot: N(0, 2c), or the standard Cauchy."""
     if params.regime is Regime.NEAR_STATIONARY:
+        _stationary_scale(params)  # the normal limit needs the pivot's scale: k_n > c, n k_n finite
         return TargetLaw.normal(2.0 * params.c)
     _log_explosive_scale(params)  # the Cauchy limit needs the pivot's scale: c > 0
     return TargetLaw.standard_cauchy()
@@ -135,9 +135,10 @@ def pivots(params: ModelParams, y, u) -> np.ndarray:
         raise DomainError(f"pivots at n = {params.n} need paths y (B, n+1) and u (B, n)")
     lag = y[:, :-1]
     den = np.einsum("ij,ij->i", lag, lag)
-    overflowed = ~np.isfinite(den)  # y is finite, but its squares overflow first
-    if overflowed.any():
+    if (overflowed := ~np.isfinite(den)).any():  # y is finite, but its squares overflow first
         raise NumericOverflowError(f"sum of squared lags overflowed on path {overflowed.argmax()}")
+    if (zero := den < _DEGENERATE_DENOM).any():  # ols_rho's rule, before score / den
+        raise DomainError(f"degenerate path: sum of squared lags is zero on path {zero.argmax()}")
     score = np.einsum("ij,ij->i", lag, u)
     diff = score / den
     if params.regime is Regime.NEAR_STATIONARY:

@@ -60,7 +60,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         integer(self.paths_per_test * (self.params.n + 1), 0, 2**60,  # numpy's largest array;
                 "paths_per_test * (n + 1) must be below 2^60")  # a smaller one may be a MemoryError
-        target_law(self.params)  # a row with no limit law (c = 0) fails here, before any draw
+        target_law(self.params)  # a row with no limit law or no pivot scale fails before any draw
 
 
 def replication_pivots(spec: ExperimentSpec, rep: int) -> np.ndarray:
@@ -163,7 +163,7 @@ def run_table(
 ) -> list[TableRow]:
     """Reproduce one table: a KS summary per mean-persistence row.  The rows
     take the size given for the table's regime; None is the table's own size."""
-    seed = integer(seed, 0, 2**64, "base must be a 64-bit unsigned integer")  # not spread mod 2^64
+    seed = dgp.RngSeed(seed).base  # checked, not spread mod 2^64
     n = n_nearstat if _table(table_id)[2] is Regime.NEAR_STATIONARY else n_explosive
     rows = []
     for i, (label, kn) in enumerate(table_kn_rows(table_id)):

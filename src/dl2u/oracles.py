@@ -166,7 +166,7 @@ def check_wnvn(params: ModelParams, seed: int) -> dict:
     j = np.arange(1, n + 1)
     half_log_norm = 0.5 * (vol.log_l_n + math.log(kn))
     w_weights = np.exp(-j * math.log(rho) - half_log_norm)
-    v_weights = np.exp(-(n - j + 1) * math.log(rho) - half_log_norm)
+    v_weights = w_weights[::-1].copy()  # rho^-(n-j+1); a contiguous copy keeps gemv's bits
 
     def _wv(streams):  # y and u are freed on return, before the next block is drawn
         u = dgp.simulate_batch(params, seed, streams)[1]

@@ -38,6 +38,8 @@ __all__ = [
     "scales",
 ]
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # exp of any larger double overflows
+
 
 def _number(x, kinds: tuple, cast, lo: float, hi: float, need: str):
     """cast(x) for an x of `kinds`, but no bool, with cast(x) in [lo, hi); else

@@ -376,7 +376,7 @@ class TestParser:
         (["simulate", "--n", "5", "--z0", "1000", "--alpha", "0.5", "--rn", "lin"], EXIT_OVERFLOW,
          "sigma2"),
         (["estimate", "huge.csv", "--n", "3"], EXIT_OVERFLOW, "huge.csv overflow"),
-        # the target law is checked before the pivot's finiteness
+        # the target law is formed before the CSV is read
         (["estimate", "huge.csv", "--n", "3", "--c", "0"], EXIT_DOMAIN,
          "normal target needs a positive variance"),
         (["hist", "--n", "50", "--kn", "const:1e308"], EXIT_OVERFLOW, "n k_n"),
@@ -413,6 +413,11 @@ class TestParser:
          EXIT_OVERFLOW, "2c"),
         # the near-stationary root 1 - c/k_n needs k_n > c, as simulate and hist check
         (["estimate", "short.csv", "--n", "3", "--kn", "const:1"], EXIT_DOMAIN, "k_n > c"),
+        # a model error exits before the CSV is read, so a missing file is never named
+        (["estimate", "missing.csv", "--n", "3", "--kn", "const:1"], EXIT_DOMAIN,
+         "domain error: near-stationary root needs k_n > c"),
+        (["estimate", "missing.csv", "--kn", "const:1e308"], EXIT_OVERFLOW,
+         "numeric overflow: near-stationary scale overflow: n k_n"),
     ], ids=["negative-seed", "missing-csv", "csv-without-y-u", "empty-csv", "blank-csv",
             "csv-length-not-n", "kn-const-no-value", "kn-pow-not-a-number", "kn-log-with-value",
             "alpha-nan", "c-nan", "d-nan", "y0-nan", "z0-minus-inf", "csv-y-not-a-number",
@@ -426,7 +431,9 @@ class TestParser:
             "hist-n-zero", "hist-kn-empty", "simulate-out-empty", "simulate-n-1e15",
             "simulate-n-1e20", "table-n-1e15", "hist-bins-1e15", "hist-paths-1e15",
             "table-paths-1e19", "hist-paths-2e19", "table-n-2-to-the-50",
-            "explosive-scale-2c-overflow", "estimate-kn-not-above-c"])
+            "explosive-scale-2c-overflow", "estimate-kn-not-above-c",
+            "estimate-model-error-before-missing-csv",
+            "estimate-scale-overflow-before-missing-csv"])
     def test_invalid_input_exit_codes(self, argv, code, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_CSVS.items():

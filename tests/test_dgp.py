@@ -317,16 +317,35 @@ class TestOverflow:
             simulate_path(self.P, RngSeed(2, streams[0]))
         assert str(single.value) == str(batch.value)
 
-    @pytest.mark.parametrize("simulate", [
+    SIMULATE = pytest.mark.parametrize("simulate", [
         simulate_batch, simulate_y,
         lambda params, base, streams: simulate_path(params, RngSeed(base, streams[0])),
     ], ids=["batch", "y-alone", "single-path"])
+
+    @SIMULATE
     def test_huge_alpha_raises_without_a_warning(self, simulate):
         # alpha * eta overflows before the recursion; the check of y reports it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError, match="^y overflowed"):
                 simulate(stat_params(alpha=1e308), 0, [0, 1, 2])
+
+    @SIMULATE
+    def test_sigma2_0_overflow_draws_nothing(self, simulate, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+        monkeypatch.setattr("dl2u.dgp.draw_innovations", no_draw)
+        message = r"^sigma2_0 = exp\(z0\) overflowed at z0 = 710$"
+        with pytest.raises(NumericOverflowError, match=message):
+            simulate(stat_params(z0=710.0), 0, [0, 1, 2])
+
+    def test_sigma2_0_is_finite_up_to_log_dbl_max(self):
+        # the largest z0 whose exp is finite, then the next double
+        z0 = 709.782712893384
+        path = simulate_path(stat_params(z0=z0), RngSeed(0))
+        assert path.sigma2[0] == np.exp(z0) < np.inf
+        with pytest.raises(NumericOverflowError, match="sigma2_0"):
+            simulate_path(stat_params(z0=np.nextafter(z0, np.inf)), RngSeed(0))
 
     @pytest.mark.parametrize("params", [P, stat_params(z0=710.0)], ids=["y", "sigma2_0"])
     def test_y_alone_raises_as_the_batch(self, params):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -198,3 +199,13 @@ class TestDegenerateScore:
         path = SimulatedPath(y=np.zeros(5), sigma2=np.ones(5), u=np.zeros(4))
         with pytest.raises(DomainError, match="degenerate"):
             score_rho_error(path)
+
+    @pytest.mark.parametrize("params", [stat_params(n=10), expl_params(n=10)], ids=["T", "S"])
+    def test_batched_pivots_reject_a_zero_lag_path_without_a_warning(self, params):
+        # score / den was 0 / 0: a bare RuntimeWarning, or NaN pivots with warnings off
+        y, u = np.ones((3, 11)), np.ones((3, 10))
+        y[1], u[1] = 0.0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^degenerate path: .* on path 1$"):
+                pivots(params, y, u)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +37,10 @@ def stat_spec(**kw):  # table 2b's n^0.25 row at n = 100
 def expl_spec(**kw):  # table 2a's n^0.5 row at n = 100
     params = table_params("2a", SequenceSpec.parse("pow:0.5"), 100)
     return replace(ExperimentSpec(params, paths_per_test=50, replications=4, seed=9), **kw)
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a path was drawn")
 
 
 class TestExperimentSpec:
@@ -92,9 +97,6 @@ class TestReplications:
         streams = [2**64 - 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]
         expected = pivots(last.params, *simulate_batch(last.params, last.seed, streams))
         assert replication_pivots(last, 2**62 - 1).tobytes() == expected.tobytes()
-
-        def no_draw(*args):
-            raise AssertionError("a path was drawn")
         monkeypatch.setattr(dl2u.dgp, "simulate_batch", no_draw)
         for B, rep in [(6, 2**64 // 6), (12, 2**64 // 12), (3, (2**64 - 1) // 3), (1, 2**64)]:
             spec = stat_spec(paths_per_test=B, replications=2**65)
@@ -130,18 +132,47 @@ class TestReplications:
             replace(spec, params=replace(spec.params, c=0.0))
 
     def test_overflow_names_replication_and_exponent(self):
-        spec = stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.parse("const:1e+308")))
-        with pytest.raises(NumericOverflowError, match="replication 2 aborted: .*n k_n"):
-            replication_pivots(spec, 2)
+        # sqrt(n k_n) is formed with the row's limit law, so the row is never built
+        with pytest.raises(NumericOverflowError, match="n k_n"):
+            stat_spec(params=replace(stat_spec().params, kn=SequenceSpec.parse("const:1e+308")))
         params = replace(expl_spec().params, n=10**5, kn=SequenceSpec.parse("log"))
         y, u = np.zeros((1, params.n + 1)), np.zeros((1, params.n))
         y[0, 0] = u[0, 0] = 1.0  # centered error 1
         with pytest.raises(NumericOverflowError, match="explosive pivot overflow: n log rho_n"):
             pivots(params, y, u)
 
+    def test_a_path_of_zeros_is_degenerate(self):
+        # sigma2 = exp(z) underflows to 0, so y is 0 and every score would be 0 / 0
+        spec = stat_spec(params=replace(stat_spec().params, n=50, z0=-1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="degenerate path: .* on path 0"):
+                replication_pivots(spec, 0)
+
     def test_run_replication_returns_ks_result(self):
         res = run_replication(stat_spec(), 0)
         assert 0 <= res.d_stat <= 1
+
+
+class TestRowsWithoutAPivotScale:
+    """A row whose pivot has no scale is rejected when it is built, before any draw."""
+
+    @pytest.mark.parametrize("kn, error, match, code", [
+        ("const:1e+308", NumericOverflowError, "n k_n", 4),
+        ("const:1", DomainError, "k_n > c", 3),
+    ], ids=["n-kn-overflow", "kn-not-above-c"])
+    def test_spec_hist_and_table_draw_nothing(self, kn, error, match, code, monkeypatch, capsys):
+        monkeypatch.setattr(dl2u.dgp, "draw_innovations", no_draw)
+        row = SequenceSpec.parse(kn)  # table 2b has c = 1
+        with pytest.raises(error, match=match):
+            ExperimentSpec(table_params("2b", row, 50))
+        # hist builds the spec of emit_histogram first
+        assert main(["hist", "--n", "50", "--kn", kn, "--paths", "5"]) == code
+        assert match in capsys.readouterr().err
+        monkeypatch.setitem(dl2u.montecarlo._TABLES, "2b", (1.0, 0.5, Regime.NEAR_STATIONARY,
+                                                            [("bad", row)]))
+        with pytest.raises(error, match=match):
+            run_table("2b", n_nearstat=50, replications=1, paths_per_test=5)
 
 
 class TestReplay:
